@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -29,19 +30,59 @@ namespace {
 using Outcome = IncrementalChecker::Outcome;
 
 /// 50-constraint authoring stream over `dtd`: TryAdd each constraint through
-/// one checker in the given mode; returns the outcome sequence.
-std::vector<Outcome> RunAuthoring(const Dtd& dtd,
-                                  const std::vector<Constraint>& stream,
-                                  IncrementalChecker::Mode mode) {
+/// one session-backed checker; returns the outcome sequence.
+std::vector<Outcome> RunSessionAuthoring(const Dtd& dtd,
+                                         const std::vector<Constraint>& stream) {
   ConsistencyOptions options;
   options.build_witness = false;
-  IncrementalChecker checker(&dtd, options, /*check_redundancy=*/false, mode);
+  IncrementalChecker checker(&dtd, options, /*check_redundancy=*/false);
   std::vector<Outcome> outcomes;
   outcomes.reserve(stream.size());
   for (const Constraint& c : stream) {
     auto result = checker.TryAdd(c);
     if (!result.ok()) std::abort();
     outcomes.push_back(result->outcome);
+  }
+  return outcomes;
+}
+
+/// The same stream through the one-shot API: a syntactic-duplicate test,
+/// then CheckConsistency of the accepted set plus the addition — Ψ(D,Σ)
+/// rebuilt from scratch per addition.
+std::vector<Outcome> RunOneShotAuthoring(
+    const Dtd& dtd, const std::vector<Constraint>& stream) {
+  ConsistencyOptions options;
+  options.build_witness = false;
+  ConstraintSet accepted;
+  std::vector<Outcome> outcomes;
+  outcomes.reserve(stream.size());
+  for (const Constraint& c : stream) {
+    ConstraintSet stated = accepted.Normalize();
+    const auto& all = stated.constraints();
+    ConstraintSet single;
+    single.Add(c);
+    ConstraintSet parts = single.Normalize();
+    bool duplicate = true;
+    for (const Constraint& part : parts.constraints()) {
+      if (std::find(all.begin(), all.end(), part) == all.end()) {
+        duplicate = false;
+      }
+    }
+    if (duplicate) {
+      accepted.Add(c);
+      outcomes.push_back(Outcome::kAcceptedRedundant);
+      continue;
+    }
+    ConstraintSet candidate = accepted;
+    candidate.Add(c);
+    auto result = CheckConsistency(dtd, candidate, options);
+    if (!result.ok()) std::abort();
+    if (result->consistent) {
+      accepted = std::move(candidate);
+      outcomes.push_back(Outcome::kAccepted);
+    } else {
+      outcomes.push_back(Outcome::kRejected);
+    }
   }
   return outcomes;
 }
@@ -70,12 +111,10 @@ void RunAuthoringAblation(bench::JsonReport& report) {
     // Session timing includes CompileDtd (it happens inside the first
     // TryAdd) — the compile is the cost being amortized, not excluded.
     double session_ms = bench::BestTimeMs(3, [&] {
-      session_outcomes =
-          RunAuthoring(family.dtd, stream, IncrementalChecker::Mode::kSession);
+      session_outcomes = RunSessionAuthoring(family.dtd, stream);
     });
     double fresh_ms = bench::BestTimeMs(3, [&] {
-      fresh_outcomes =
-          RunAuthoring(family.dtd, stream, IncrementalChecker::Mode::kFresh);
+      fresh_outcomes = RunOneShotAuthoring(family.dtd, stream);
     });
     if (session_outcomes != fresh_outcomes) std::abort();
     double speedup = session_ms > 0 ? fresh_ms / session_ms : 0.0;

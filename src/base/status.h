@@ -44,7 +44,7 @@ const char* StatusCodeName(StatusCode code);
 /// A success-or-error value. Cheap to copy in the OK case.
 ///
 /// [[nodiscard]]: silently dropping a Status is how an inconsistent verdict
-/// escapes unnoticed; every call site must consume it (xicc_lint's
+/// escapes unnoticed; every call site must consume it (the lint's
 /// void-discard rule keeps `(void)` muting out too).
 class [[nodiscard]] Status {
  public:

@@ -2,18 +2,11 @@
 
 #include <algorithm>
 
+#include "core/decision.h"
+
 namespace xicc {
 
 namespace {
-
-/// Options for the inner implication calls: no witnesses, no verification —
-/// closure enumeration only needs verdicts.
-ConsistencyOptions VerdictOnly(const ConsistencyOptions& base) {
-  ConsistencyOptions out = base;
-  out.build_witness = false;
-  out.verify_witness = false;
-  return out;
-}
 
 bool SyntacticallyPresent(const ConstraintSet& sigma, const Constraint& c) {
   ConstraintSet normalized = sigma.Normalize();

@@ -45,7 +45,7 @@ struct ConsistencyOptions {
   WitnessOptions witness;
   /// Cooperative stop for the whole check: deadline and/or cancel token,
   /// threaded into every ILP layer below (polled per branch-and-bound node,
-  /// per cut round, and every 64 simplex pivots). When it fires the check
+  /// per cut round, and on every simplex pivot). When it fires the check
   /// returns kDeadlineExceeded / kCancelled — NEVER a consistency verdict;
   /// a timed-out check has not decided anything.
   StopSignal stop;

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 
+#include "core/decision.h"
+
 namespace xicc {
 
 Status IncrementalChecker::EnsureSession() {
-  if (mode_ != Mode::kSession || session_ != nullptr) return Status::Ok();
+  if (session_ != nullptr) return Status::Ok();
   XICC_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledDtd> compiled,
                         CompileDtd(*dtd_));
   session_ = std::make_unique<SpecSession>(std::move(compiled), options_);
@@ -43,48 +45,25 @@ Result<IncrementalChecker::AddResult> IncrementalChecker::TryAdd(
   }
 
   // Semantically implied? Then adding it cannot change anything. The
-  // session answers this against its committed set (= accepted_); fresh
-  // mode keeps the refutation verdict-only, as witnesses are never reported
-  // for redundant additions.
+  // session answers this against its committed set (= accepted_).
+  ConstraintSet delta;
+  delta.Add(constraint);
   if (check_redundancy_) {
-    ImplicationResult implication;
-    if (session_ != nullptr) {
-      XICC_ASSIGN_OR_RETURN(implication, session_->Implies(constraint));
-    } else {
-      ConsistencyOptions verdict_only = options_;
-      verdict_only.build_witness = false;
-      verdict_only.verify_witness = false;
-      XICC_ASSIGN_OR_RETURN(
-          implication,
-          CheckImplication(*dtd_, accepted_, constraint, verdict_only));
-    }
+    XICC_ASSIGN_OR_RETURN(ImplicationResult implication,
+                          session_->Implies(constraint));
     if (implication.implied) {
       accepted_.Add(constraint);
       // Keep the session's committed set aligned with accepted_ (a
       // normalization-level duplicate, so every canonical key is unchanged).
-      if (session_ != nullptr) {
-        ConstraintSet delta;
-        delta.Add(constraint);
-        XICC_RETURN_IF_ERROR(session_->Commit(delta));
-      }
+      XICC_RETURN_IF_ERROR(session_->Commit(delta));
       return AddResult{Outcome::kAcceptedRedundant,
                        "already implied by the accepted constraints", {}};
     }
   }
 
-  ConsistencyResult consistency;
-  if (session_ != nullptr) {
-    // Σ-delta: accepted_ is committed in the session, so only the new
-    // constraint's C_Σ rows ride the trail.
-    ConstraintSet delta;
-    delta.Add(constraint);
-    XICC_ASSIGN_OR_RETURN(consistency, session_->Check(delta));
-  } else {
-    ConstraintSet candidate = accepted_;
-    candidate.Add(constraint);
-    XICC_ASSIGN_OR_RETURN(consistency,
-                          CheckConsistency(*dtd_, candidate, options_));
-  }
+  // Σ-delta: accepted_ is committed in the session, so only the new
+  // constraint's C_Σ rows ride the trail.
+  XICC_ASSIGN_OR_RETURN(ConsistencyResult consistency, session_->Check(delta));
   if (!consistency.consistent) {
     return AddResult{
         Outcome::kRejected,
@@ -94,11 +73,7 @@ Result<IncrementalChecker::AddResult> IncrementalChecker::TryAdd(
         {}};
   }
   accepted_.Add(constraint);
-  if (session_ != nullptr) {
-    ConstraintSet delta;
-    delta.Add(constraint);
-    XICC_RETURN_IF_ERROR(session_->Commit(delta));
-  }
+  XICC_RETURN_IF_ERROR(session_->Commit(delta));
   return AddResult{Outcome::kAccepted, "", std::move(consistency.witness)};
 }
 
@@ -106,9 +81,7 @@ Result<EquivalenceResult> CheckEquivalence(const Dtd& dtd,
                                            const ConstraintSet& sigma1,
                                            const ConstraintSet& sigma2,
                                            const ConsistencyOptions& options) {
-  ConsistencyOptions verdict_only = options;
-  verdict_only.build_witness = false;
-  verdict_only.verify_witness = false;
+  ConsistencyOptions verdict_only = VerdictOnly(options);
 
   EquivalenceResult out;
   ConstraintSet normalized2 = sigma2.Normalize();

@@ -20,18 +20,13 @@ namespace xicc {
 /// commits the constraint or reports why it must be rejected, flagging
 /// already-implied additions along the way.
 ///
-/// By default the checker runs on a SpecSession: the DTD is compiled once on
-/// the first TryAdd and every later check appends only the new constraint's
+/// The checker runs on a SpecSession: the DTD is compiled once on the
+/// first TryAdd and every later check appends only the new constraint's
 /// C_Σ rows onto the compiled skeleton's trail — one build plus n deltas
-/// instead of n full rebuilds. Mode::kFresh keeps the rebuild-per-call
-/// behaviour (the ablation baseline); verdicts are identical in both modes.
+/// instead of n full rebuilds, with the same verdicts as CheckConsistency /
+/// CheckImplication on the accepted set plus the addition.
 class IncrementalChecker {
  public:
-  enum class Mode {
-    kSession,  ///< Compile once, Σ-delta per TryAdd (default).
-    kFresh,    ///< Rebuild Ψ(D,Σ) on every TryAdd.
-  };
-
   /// The DTD must outlive the checker. `check_redundancy` controls whether
   /// each addition is first tested for being implied (an extra refutation
   /// call — for inclusions it routes through the exponential Section 5
@@ -41,12 +36,8 @@ class IncrementalChecker {
   /// verdict-only.
   explicit IncrementalChecker(const Dtd* dtd,
                               const ConsistencyOptions& options = {},
-                              bool check_redundancy = true,
-                              Mode mode = Mode::kSession)
-      : dtd_(dtd),
-        options_(options),
-        check_redundancy_(check_redundancy),
-        mode_(mode) {}
+                              bool check_redundancy = true)
+      : dtd_(dtd), options_(options), check_redundancy_(check_redundancy) {}
 
   enum class Outcome {
     kAccepted,          ///< Consistent with everything accepted so far.
@@ -69,8 +60,7 @@ class IncrementalChecker {
   /// The constraints accepted so far (in acceptance order).
   const ConstraintSet& accepted() const { return accepted_; }
 
-  /// Session statistics (zero counters in Mode::kFresh or before the first
-  /// TryAdd).
+  /// Session statistics (zero counters before the first TryAdd).
   SpecSessionStats session_stats() const {
     return session_ != nullptr ? session_->stats() : SpecSessionStats{};
   }
@@ -83,7 +73,6 @@ class IncrementalChecker {
   const Dtd* dtd_;
   ConsistencyOptions options_;
   bool check_redundancy_;
-  Mode mode_;
   std::unique_ptr<SpecSession> session_;
   ConstraintSet accepted_;
 };

@@ -7,10 +7,9 @@
 #include <utility>
 
 #include "base/debug.h"
-#include "constraints/evaluator.h"
 #include "core/audit.h"
+#include "core/decision.h"
 #include "core/encoding_solver.h"
-#include "dtd/validator.h"
 #include "ilp/audit.h"
 
 namespace xicc {
@@ -22,33 +21,6 @@ double ElapsedMs(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(  // xicc-lint: allow(exact-arithmetic)
              std::chrono::steady_clock::now() - start)
       .count();
-}
-
-EncodingSolveOptions ToSolveOptions(const ConsistencyOptions& options) {
-  EncodingSolveOptions out;
-  out.strategy = options.strategy == SolveStrategy::kCaseSplit
-                     ? EncodingStrategy::kCaseSplit
-                     : EncodingStrategy::kBigM;
-  out.ilp = options.ilp;
-  // One knob arms the whole stack, mirroring consistency.cc.
-  if (options.stop.Armed()) out.ilp.stop = options.stop;
-  return out;
-}
-
-/// Mirrors consistency.cc: one ILP solution's counters into a stats block.
-void FillIlpStats(const IlpSolution& solved, ConsistencyStats* stats) {
-  stats->ilp_nodes = solved.nodes_explored;
-  stats->lp_pivots = solved.lp_pivots;
-  stats->warm_starts = solved.warm_starts;
-  stats->cold_restarts = solved.cold_restarts;
-  stats->search_depth = solved.max_depth;
-  stats->lp_kernel = solved.lp_kernel;
-  stats->num_small_ops = solved.num_small_ops;
-  stats->num_big_ops = solved.num_big_ops;
-  stats->num_promotions = solved.num_promotions;
-  stats->num_demotions = solved.num_demotions;
-  stats->arena_bytes = solved.arena_bytes;
-  stats->ilp_wall_ms = solved.wall_ms;
 }
 
 /// Canonical cache key: the normalized constraints rendered and sorted, so
@@ -67,106 +39,6 @@ std::string CanonicalKey(const ConstraintSet& combined) {
     key += '\n';
   }
   return key;
-}
-
-/// Same check as consistency.cc's VerifyWitness, with content models matched
-/// through the compiled frozen DFAs.
-Status VerifyWitness(const XmlTree& tree, const CompiledDtd& compiled,
-                     const ConstraintSet& sigma) {
-  ValidationReport validation =
-      ValidateXml(tree, compiled.dtd, &compiled.content_models, {});
-  if (!validation.valid) {
-    return Status::Internal("witness fails DTD validation:\n" +
-                            validation.ToString());
-  }
-  EvaluationReport evaluation = Evaluate(tree, sigma);
-  if (!evaluation.satisfied) {
-    return Status::Internal("witness fails constraint evaluation:\n" +
-                            evaluation.ToString());
-  }
-  return Status::Ok();
-}
-
-/// Mirrors consistency.cc's AttachWitness: too-large witnesses degrade to an
-/// explanation, everything else is verified and attached.
-Status AttachWitness(const CompiledDtd& compiled, const ConstraintSet& sigma,
-                     const ConsistencyOptions& options, Result<XmlTree> tree,
-                     ConsistencyResult* result) {
-  if (!tree.ok()) {
-    if (tree.status().code() == StatusCode::kResourceExhausted) {
-      result->explanation = tree.status().message();
-      return Status::Ok();
-    }
-    return tree.status();
-  }
-  if (options.verify_witness) {
-    XICC_RETURN_IF_ERROR(VerifyWitness(*tree, compiled, sigma));
-  }
-  result->witness = std::move(tree).value();
-  return Status::Ok();
-}
-
-/// Σ subsumes φ = τ[X] → τ iff some key τ[Y] → τ in Σ has Y ⊆ X (as in
-/// implication.cc).
-bool Subsumes(const ConstraintSet& sigma, const Constraint& phi) {
-  std::set<std::string> x(phi.attrs1.begin(), phi.attrs1.end());
-  ConstraintSet normalized = sigma.Normalize();
-  for (const Constraint& c : normalized.constraints()) {
-    if (c.kind != ConstraintKind::kKey || c.type1 != phi.type1) continue;
-    bool subset = true;
-    for (const std::string& attr : c.attrs1) {
-      if (x.count(attr) == 0) {
-        subset = false;
-        break;
-      }
-    }
-    if (subset) return true;
-  }
-  return false;
-}
-
-Result<Constraint> Negate(const Constraint& phi) {
-  switch (phi.kind) {
-    case ConstraintKind::kKey:
-      if (!phi.IsUnary()) {
-        return Status::UndecidableClass(
-            "implication of the multi-attribute key '" + phi.ToString() +
-            "' by non-key constraints is undecidable (Corollary 3.4)");
-      }
-      return Constraint::NegKey(phi.type1, phi.attrs1);
-    case ConstraintKind::kInclusion:
-      if (!phi.IsUnary()) {
-        return Status::UndecidableClass(
-            "implication of the multi-attribute inclusion '" +
-            phi.ToString() + "' is undecidable (Corollary 3.4)");
-      }
-      return Constraint::NegInclusion(phi.type1, phi.attrs1, phi.type2,
-                                      phi.attrs2);
-    default:
-      return Status::InvalidArgument(
-          "only keys and inclusion constraints can be negated directly");
-  }
-}
-
-Status VerifyCounterexample(const XmlTree& tree, const CompiledDtd& compiled,
-                            const ConstraintSet& sigma,
-                            const Constraint& phi) {
-  ValidationReport validation =
-      ValidateXml(tree, compiled.dtd, &compiled.content_models, {});
-  if (!validation.valid) {
-    return Status::Internal("counterexample fails DTD validation:\n" +
-                            validation.ToString());
-  }
-  EvaluationReport on_sigma = Evaluate(tree, sigma);
-  if (!on_sigma.satisfied) {
-    return Status::Internal("counterexample violates Σ:\n" +
-                            on_sigma.ToString());
-  }
-  EvaluationReport on_phi = Evaluate(tree, phi);
-  if (on_phi.satisfied) {
-    return Status::Internal("counterexample satisfies φ = " + phi.ToString());
-  }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -416,9 +288,7 @@ Result<ConsistencyResult> SpecSession::CheckUncached(
                           : "keys-only";
       result.consistent = compiled_->facts.has_valid_tree;
       if (!result.consistent) {
-        result.explanation =
-            "no finite tree conforms to the DTD (the root element type "
-            "cannot derive a finite document)";
+        result.explanation = kNoValidTreeExplanation;
         return result;
       }
       if (options_.min_witness_nodes > 0) {
@@ -429,7 +299,7 @@ Result<ConsistencyResult> SpecSession::CheckUncached(
       }
       if (options_.build_witness) {
         XICC_RETURN_IF_ERROR(AttachWitness(
-            *compiled_, normalized, options_,
+            compiled_->dtd, &compiled_->content_models, normalized, options_,
             compiled_->minimal_plan.Build(compiled_->dtd), &result));
       }
       return result;
@@ -501,16 +371,7 @@ Result<ConsistencyResult> SpecSession::CheckDelta(const ConstraintSet& encoded,
     if (encoded_committed_.count(c.ToString()) > 0) continue;
     AppendConstraintRow(c);
   }
-  if (options_.min_witness_nodes > 0) {
-    LinearExpr total;
-    for (const auto& [symbol, var] : sk.ext_var) {
-      if (symbol == "S" || sk.simplified.IsSynthetic(symbol)) continue;
-      total.Add(var, BigInt(1));
-    }
-    system_.AddConstraint(
-        total, RelOp::kGe,
-        BigInt(static_cast<int64_t>(options_.min_witness_nodes)));
-  }
+  AddMinimumSizeRow(options_, sk, &system_);
 
   // Conditionals only for the mentioned pairs, exactly as the fresh
   // encoding carries them; unmentioned pairs stay slack (0 ≤ y ≤ x).
@@ -550,12 +411,9 @@ Result<ConsistencyResult> SpecSession::CheckDelta(const ConstraintSet& encoded,
   FillIlpStats(*solved, &result.stats);
   result.consistent = solved->feasible;
   if (!result.consistent) {
-    result.explanation =
-        kind == DeltaKind::kMinSizeOnly
-            ? "the DTD admits no document with the requested minimum size"
-            : "the cardinality system Ψ(D,Σ) has no solution over the "
-              "nonnegative integers (Lemma 4.6): the DTD's counting "
-              "constraints contradict the keys/foreign keys";
+    result.explanation = kind == DeltaKind::kMinSizeOnly
+                             ? kMinimumSizeExplanation
+                             : kCardinalityExplanation;
     return result;
   }
   if (options_.build_witness) {
@@ -578,100 +436,33 @@ Result<ConsistencyResult> SpecSession::CheckDelta(const ConstraintSet& encoded,
       value_sets.emplace(pair, std::move(values));
     }
     XICC_RETURN_IF_ERROR(AttachWitness(
-        *compiled_, evaluate, options_,
+        compiled_->dtd, &compiled_->content_models, evaluate, options_,
         BuildWitnessTree(sk, *solved, value_sets, options_.witness), &result));
   }
   return result;
 }
 
 Result<ImplicationResult> SpecSession::Implies(const Constraint& phi) {
-  const Dtd& dtd = compiled_->dtd;
-  {
-    ConstraintSet just_phi;
-    just_phi.Add(phi);
-    XICC_RETURN_IF_ERROR(just_phi.CheckAgainst(dtd));
-  }
-
-  // A foreign key is implied iff both of its components are (Section 2.2).
-  if (phi.kind == ConstraintKind::kForeignKey) {
-    Constraint inclusion =
-        Constraint::Inclusion(phi.type1, phi.attrs1, phi.type2, phi.attrs2);
-    Constraint key = Constraint::Key(phi.type2, phi.attrs2);
-    XICC_ASSIGN_OR_RETURN(ImplicationResult on_inclusion, Implies(inclusion));
-    if (!on_inclusion.implied) {
-      on_inclusion.explanation = "the inclusion component is not implied; " +
-                                 on_inclusion.explanation;
-      return on_inclusion;
-    }
-    XICC_ASSIGN_OR_RETURN(ImplicationResult on_key, Implies(key));
-    if (!on_key.implied) {
-      on_key.explanation =
-          "the key component is not implied; " + on_key.explanation;
-    }
-    return on_key;
-  }
-
-  ConstraintClass sigma_class = committed_.Classify();
-
-  // Lemma 3.7 fast path from the compiled multiplicity facts.
-  if (phi.kind == ConstraintKind::kKey &&
-      (sigma_class == ConstraintClass::kEmpty ||
-       sigma_class == ConstraintClass::kKeysOnly)) {
-    ImplicationResult result;
-    result.method = "keys-only";
-    if (Subsumes(committed_, phi)) {
-      result.implied = true;
-      result.explanation = "Σ contains a key that φ is a superkey of";
-      return result;
-    }
-    auto mult = compiled_->facts.multiplicity.find(phi.type1);
-    bool can_have_two = mult != compiled_->facts.multiplicity.end() &&
-                        mult->second == Multiplicity::kAtLeastTwo;
-    if (!can_have_two) {
-      result.implied = true;
-      result.explanation =
-          "no tree valid w.r.t. the DTD contains two '" + phi.type1 +
-          "' elements, so every key over it holds vacuously (Lemma 3.6)";
-      return result;
-    }
-    if (options_.build_witness) {
-      // The Lemma 3.7 counterexample construction is a one-off tree build;
-      // route it through the fresh pipeline.
-      ++stats_.fresh_fallbacks;
-      return CheckImplication(dtd, committed_, phi, options_);
-    }
-    result.implied = false;
-    result.explanation =
-        "Σ does not subsume φ and some valid tree has two '" + phi.type1 +
-        "' elements sharing the key attributes (Lemma 3.7)";
-    return result;
-  }
-
-  // General path: (D,Σ) ⊢ φ iff Σ ∪ {¬φ} is inconsistent over D — answered
-  // by the session's own Check, so the refutation rides the skeleton and
-  // the memo.
-  XICC_ASSIGN_OR_RETURN(Constraint negated, Negate(phi));
-  ConstraintSet refutation;
-  refutation.Add(std::move(negated));
-  XICC_ASSIGN_OR_RETURN(ConsistencyResult consistency, Check(refutation));
-  ImplicationResult result;
-  result.method = "refutation";
-  result.stats = consistency.stats;
-  result.implied = !consistency.consistent;
-  if (result.implied) {
-    result.explanation =
-        "Σ ∪ {¬φ} is inconsistent over D: " + consistency.explanation;
-  } else {
-    result.explanation =
-        "Σ ∪ {¬φ} is consistent over D; the witness violates φ";
-    if (consistency.witness.has_value()) {
-      if (options_.verify_witness) {
-        XICC_RETURN_IF_ERROR(VerifyCounterexample(*consistency.witness,
-                                                  *compiled_, committed_,
-                                                  phi));
-      }
-      result.counterexample = std::move(consistency.witness);
-    }
+  const CompiledDtd& compiled = *compiled_;
+  Result<ImplicationResult> result = DecideImplication(
+      compiled.dtd, &compiled.content_models, committed_, phi, options_,
+      // Lemma 3.6 from the compiled multiplicity facts.
+      [&compiled](const std::string& type) {
+        auto mult = compiled.facts.multiplicity.find(type);
+        return mult != compiled.facts.multiplicity.end() &&
+               mult->second == Multiplicity::kAtLeastTwo;
+      },
+      // The refutation rides the session's own Check: skeleton and memo.
+      [this](const Constraint& negated) {
+        ConstraintSet refutation;
+        refutation.Add(negated);
+        return Check(refutation);
+      });
+  // A keys-only counterexample is the one-off Lemma 3.7 tree build, which
+  // solves a fresh Ψ_D outside the session system.
+  if (result.ok() && result->method == "keys-only" &&
+      result->counterexample.has_value()) {
+    ++stats_.fresh_fallbacks;
   }
   return result;
 }

@@ -69,9 +69,10 @@ struct SpecSessionStats {
   /// Queries answered by pushing only C_Σ rows onto the compiled skeleton's
   /// trail (one PushCheckpoint / append / solve / PopCheckpoint round).
   size_t sigma_delta_checks = 0;
-  /// Queries routed through the fresh CheckConsistency / CheckImplication
-  /// pipeline (negated inclusions, undecidable classes, key
-  /// counterexamples).
+  /// Work done outside the session system: Checks routed to the one-shot
+  /// CheckConsistency (negated inclusions, undecidable classes), and
+  /// Implies answers whose Lemma 3.7 counterexample was built from a fresh
+  /// Ψ_D (BuildKeyCounterexample).
   size_t fresh_fallbacks = 0;
   size_t memo_hits = 0;
   size_t memo_misses = 0;
@@ -220,8 +221,9 @@ class SpecSession {
   /// the Σ-delta path and the linear cells by the precomputed facts.
   Result<ConsistencyResult> Check(const ConstraintSet& sigma);
 
-  /// (D, committed()) ⊢ φ, same dispatch as CheckImplication; the
-  /// refutation path reuses Check (and therefore the skeleton + memo).
+  /// (D, committed()) ⊢ φ through the same procedure as CheckImplication
+  /// (core/decision.h), with Lemma 3.6 answered from the compiled facts and
+  /// the refutation riding Check (and therefore the skeleton + memo).
   Result<ImplicationResult> Implies(const Constraint& phi);
 
   /// Makes `sigma` part of every later query, as one layer. Does NOT check

@@ -48,8 +48,17 @@ std::vector<std::pair<std::string, std::string>> Dtd::AllAttributePairs()
 }
 
 std::string Dtd::ToString() const {
-  std::string out;
+  // The root is declared first: a bare declaration list names no root, so
+  // the parser takes the first declared type — this keeps ParseDtd(ToString())
+  // on the same root, and DTDs differing only in their root render apart.
+  std::vector<const std::string*> order;
+  if (HasElement(root_)) order.push_back(&root_);
   for (const std::string& element : elements_) {
+    if (element != root_) order.push_back(&element);
+  }
+  std::string out;
+  for (const std::string* name : order) {
+    const std::string& element = *name;
     out += "<!ELEMENT " + element + " ";
     const RegexPtr& content = content_.at(element);
     switch (content->kind()) {

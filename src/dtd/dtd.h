@@ -60,7 +60,9 @@ class Dtd {
   /// All (τ, l) pairs with l ∈ R(τ), in deterministic order.
   std::vector<std::pair<std::string, std::string>> AllAttributePairs() const;
 
-  /// Renders as `<!ELEMENT ...>` / `<!ATTLIST ...>` declarations.
+  /// Renders as `<!ELEMENT ...>` / `<!ATTLIST ...>` declarations, the root
+  /// first (so the text re-parses with the same root, bare or wrapped in a
+  /// `<!DOCTYPE root [ ... ]>`), the other types in declaration order.
   std::string ToString() const;
 
  private:

@@ -531,9 +531,10 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
   size_t degenerate_streak = 0;
   for (;;) {
     XICC_FAULT_PROBE(kSimplexPivot);
-    // Bounded-cost stop poll: every 64 pivots, two loads and (when a
-    // deadline is armed) one clock read — noise next to a pivot.
-    if (stop != nullptr && (result.pivots & 63) == 0 && stop->ShouldStop()) {
+    // Stop poll on every pivot: two loads and (when a deadline is armed) one
+    // clock read — noise next to a pivot, and a deadline can overshoot by
+    // at most one pivot even when BigInt pivots take tens of milliseconds.
+    if (stop != nullptr && stop->ShouldStop()) {
       result.aborted = true;
       result.feasible = false;
       return result;
@@ -755,7 +756,7 @@ LpResult SolveLpFeasibilityDenseBland(const LinearSystem& system,
   // ties broken by smallest basic index) — guarantees no cycling.
   for (;;) {
     XICC_FAULT_PROBE(kSimplexPivot);
-    if (stop != nullptr && (result.pivots & 63) == 0 && stop->ShouldStop()) {
+    if (stop != nullptr && stop->ShouldStop()) {
       result.aborted = true;
       result.feasible = false;
       return result;
@@ -971,7 +972,7 @@ WarmResult ReSolveLpFeasibilityDual(const LinearSystem& system,
   const size_t pivot_cap = 200 + 16 * rows;
   for (;;) {
     XICC_FAULT_PROBE(kSimplexPivot);
-    if (stop != nullptr && (out.lp.pivots & 63) == 0 && stop->ShouldStop()) {
+    if (stop != nullptr && stop->ShouldStop()) {
       out.status = WarmStatus::kAborted;
       return out;
     }
@@ -1139,7 +1140,7 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
     XICC_FAULT_PROBE(kSimplexPivot);
     // Aborting leaves the tableau mid-pivot — same discard contract as
     // kPivotLimit, already honored by every in-place caller.
-    if (stop != nullptr && (out.lp.pivots & 63) == 0 && stop->ShouldStop()) {
+    if (stop != nullptr && stop->ShouldStop()) {
       out.status = WarmStatus::kAborted;
       return out;
     }

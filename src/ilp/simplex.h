@@ -160,7 +160,7 @@ class ScopedLpPricingConfig {
 /// When `tableau` is non-null and the LP is feasible, the final basis rows
 /// are exported for Gomory cut generation and warm re-solving.
 ///
-/// `stop` (optional) is polled every 64 pivots; an armed signal that fires
+/// `stop` (optional) is polled on every pivot; an armed signal that fires
 /// returns with `aborted` set and no verdict.
 LpResult SolveLpFeasibility(const LinearSystem& system,
                             LpTableau* tableau = nullptr,

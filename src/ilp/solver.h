@@ -50,7 +50,7 @@ struct IlpOptions {
   LpTableau* root_scratch = nullptr;
   /// Cooperative stop: a deadline and/or cancel token polled at bounded
   /// cost — once per branch-and-bound node, once per Gomory cut round, and
-  /// every 64 pivots inside the LP substrate. When it fires the solve
+  /// on every pivot inside the LP substrate. When it fires the solve
   /// returns kDeadlineExceeded / kCancelled, never a verdict: a stopped
   /// check is not "infeasible".
   StopSignal stop;

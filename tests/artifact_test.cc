@@ -23,6 +23,7 @@
 #include "core/audit.h"
 #include "core/consistency.h"
 #include "core/spec_session.h"
+#include "dtd/dtd_parser.h"
 #include "dtd/validator.h"
 #include "workloads/generators.h"
 #include "workloads/paper_examples.h"
@@ -316,6 +317,42 @@ TEST(ArtifactCacheTest, WrongSlotArtifactCannotServeForeignDtd) {
       << "a renamed artifact must never serve a foreign DTD";
   EXPECT_EQ(lookup->compiled->dtd.ToString(), chain.ToString());
   EXPECT_EQ(cache.stats().corrupt_rejected, 1u);
+}
+
+TEST(ArtifactCacheTest, DtdsDifferingOnlyInRootDoNotShareAnArtifact) {
+  // Same declarations, different root: under root a every valid tree has
+  // two c elements, under root b exactly one, so Σ = {¬key c(id)} is
+  // consistent over the first and inconsistent over the second. A content
+  // key that ignored the root would serve the root-a bundle for root b.
+  const std::string decls =
+      "<!ELEMENT a (c, c)> <!ELEMENT b (c)> <!ELEMENT c EMPTY> "
+      "<!ATTLIST c id CDATA #REQUIRED>";
+  auto root_a = ParseDtd("<!DOCTYPE a [" + decls + "]>");
+  auto root_b = ParseDtd("<!DOCTYPE b [" + decls + "]>");
+  ASSERT_TRUE(root_a.ok()) << root_a.status();
+  ASSERT_TRUE(root_b.ok()) << root_b.status();
+  EXPECT_NE(DtdContentHash(*root_a), DtdContentHash(*root_b));
+
+  ConstraintSet sigma;
+  sigma.Add(Constraint::NegKey("c", {"id"}));
+  ConsistencyOptions options;
+  options.build_witness = false;
+  for (const std::string& dir : {std::string(), FreshDir("artifact_root")}) {
+    ArtifactCache cache(ArtifactCache::Options{dir, 4});
+    for (const Dtd* dtd : {&*root_a, &*root_b}) {
+      auto lookup = cache.GetOrCompile(*dtd);
+      ASSERT_TRUE(lookup.ok()) << lookup.status();
+      EXPECT_EQ(lookup->compiled->dtd.root(), dtd->root());
+      SpecSession session(lookup->compiled, options);
+      auto cached = session.Check(sigma);
+      auto fresh = CheckConsistency(*dtd, sigma, options);
+      ASSERT_TRUE(cached.ok()) << cached.status();
+      ASSERT_TRUE(fresh.ok()) << fresh.status();
+      EXPECT_EQ(cached->consistent, fresh->consistent)
+          << "root " << dtd->root() << " dir '" << dir << "'";
+      EXPECT_EQ(fresh->consistent, dtd->root() == "a");
+    }
+  }
 }
 
 TEST(ArtifactCacheTest, MemoryOnlyModeNeverTouchesDisk) {

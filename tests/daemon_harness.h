@@ -70,7 +70,10 @@ inline TextSpec HardSpec() {
   return {enc.dtd.ToString(), SigmaText(enc.sigma)};
 }
 
-/// A trivial spec that checks in microseconds.
+/// A small spec (a 3x4 LIP gadget) that checks in milliseconds, not
+/// microseconds: an in-process SpecSession::Check spends about 5-8 ms in the
+/// solver (x86-64, one core), so round trips with it are solver-bound, not
+/// protocol-bound.
 inline TextSpec EasySpec() {
   const workloads::LipEncoding enc = workloads::EncodeLipAsConsistency(
       workloads::RandomLip(/*seed=*/1, /*rows=*/3, /*cols=*/4,

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "base/deadline.h"
 #include "base/faults.h"
 #include "core/consistency.h"
@@ -116,6 +118,38 @@ TEST_F(FaultsFixture, ArenaAndPromoteFaultsPreserveVerdicts) {
   ASSERT_TRUE(faulted.ok()) << faulted.status();
   EXPECT_EQ(faulted->consistent, quiet->consistent);
   EXPECT_EQ(faulted->method, quiet->method);
+}
+
+TEST_F(FaultsFixture, DeadlineOvershootIsBoundedByOnePivot) {
+  // Every pivot sleeps kPivotMs, standing in for the tens-of-milliseconds
+  // BigInt pivots of hard instances. The stop signal must be seen at most
+  // one pivot late, so at most kDeadlineMs / kPivotMs + 1 pivots run.
+  constexpr int64_t kPivotMs = 20;
+  constexpr int64_t kDeadlineMs = 200;
+  faults::FaultConfig config;
+  config.slow_pivot_every = 1;
+  config.slow_pivot_ms = kPivotMs;
+  faults::SetConfig(config);
+
+  workloads::LipEncoding spec = workloads::EncodeLipAsConsistency(
+      workloads::RandomLip(/*seed=*/3, /*rows=*/12, /*cols=*/24,
+                           /*ones_per_row=*/3));
+  ConsistencyOptions options;
+  options.build_witness = false;
+  options.stop.deadline = Deadline::After(kDeadlineMs);
+  const auto start = std::chrono::steady_clock::now();
+  auto result = CheckConsistency(spec.dtd, spec.sigma, options);
+  const int64_t elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_FALSE(result.ok()) << "the spec solved before its deadline";
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LE(faults::Hits(faults::Site::kSimplexPivot),
+            static_cast<uint64_t>(kDeadlineMs / kPivotMs + 1));
+  // Wall clock: the deadline plus a few pivots of slack for the untimed
+  // work around them (encoding, sanitizer overhead, a loaded machine).
+  EXPECT_LT(elapsed_ms, kDeadlineMs + 10 * kPivotMs);
 }
 
 #endif  // XICC_FAULTS_ENABLED

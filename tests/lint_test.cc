@@ -2,8 +2,8 @@
 // on a good and a bad fixture with the exact diagnostic asserted, the
 // comment/string scanner that decides what counts as code, the suppression
 // scope, the --fix guard rewriting, the directory walker — and finally the
-// repo itself, which must be lint-clean (the same gate CI runs via the
-// xicc_lint binary).
+// repo itself, which must be lint-clean (the same rules CI runs through
+// xicc_analyze).
 
 #include <gtest/gtest.h>
 
@@ -381,8 +381,8 @@ TEST(RunLintTest, WalksFixesAndReports) {
   std::filesystem::remove_all(root);
 }
 
-// The gate CI enforces with the xicc_lint binary, kept in the unit suite so
-// a plain ctest run catches a violation without the separate tool step.
+// The gate CI enforces through xicc_analyze, kept in the unit suite so a
+// plain ctest run catches a violation without the separate tool step.
 TEST(RunLintTest, RepositoryIsLintClean) {
 #ifdef XICC_SOURCE_DIR
   auto run = RunLint(XICC_SOURCE_DIR, /*fix=*/false);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <thread>
@@ -288,6 +289,7 @@ TEST(SpecSessionTest, KeysOnlyImplicationLemma37) {
   auto stated = session.Implies(Constraint::Key("teacher", {"name"}));
   ASSERT_TRUE(stated.ok());
   EXPECT_TRUE(stated->implied);
+  EXPECT_EQ(session.stats().fresh_fallbacks, 0u);
 
   auto unstated = session.Implies(Constraint::Key("subject", {"taught_by"}));
   auto fresh =
@@ -295,11 +297,70 @@ TEST(SpecSessionTest, KeysOnlyImplicationLemma37) {
   ASSERT_TRUE(unstated.ok());
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(fresh->implied, unstated->implied);
+  EXPECT_EQ(unstated->method, fresh->method);
+  EXPECT_EQ(unstated->explanation, fresh->explanation);
   EXPECT_EQ(unstated->counterexample.has_value(),
             fresh->counterexample.has_value());
+  // The Lemma 3.7 counterexample is built from a fresh Ψ_D, outside the
+  // session system, and counted as such.
+  EXPECT_EQ(session.stats().fresh_fallbacks, 1u);
 }
 
-// ------------------------------------------- IncrementalChecker ablation.
+// ------------------------------- IncrementalChecker vs the one-shot API.
+
+/// The one-shot reference for IncrementalChecker::TryAdd: the same outcome
+/// decided by direct CheckImplication / CheckConsistency calls on the
+/// accepted set plus the addition.
+class OneShotAuthoring {
+ public:
+  OneShotAuthoring(const Dtd* dtd, bool check_redundancy)
+      : dtd_(dtd), check_redundancy_(check_redundancy) {
+    verdict_only_.build_witness = false;
+    verdict_only_.verify_witness = false;
+  }
+
+  Result<Outcome> TryAdd(const Constraint& c) {
+    ConstraintSet single;
+    single.Add(c);
+    ConstraintSet stated = accepted_.Normalize();
+    const auto& all = stated.constraints();
+    ConstraintSet parts = single.Normalize();
+    bool duplicate = true;
+    for (const Constraint& part : parts.constraints()) {
+      if (std::find(all.begin(), all.end(), part) == all.end()) {
+        duplicate = false;
+      }
+    }
+    if (duplicate) {
+      accepted_.Add(c);
+      return Outcome::kAcceptedRedundant;
+    }
+    if (check_redundancy_) {
+      XICC_ASSIGN_OR_RETURN(
+          ImplicationResult implication,
+          CheckImplication(*dtd_, accepted_, c, verdict_only_));
+      if (implication.implied) {
+        accepted_.Add(c);
+        return Outcome::kAcceptedRedundant;
+      }
+    }
+    ConstraintSet candidate = accepted_;
+    candidate.Add(c);
+    XICC_ASSIGN_OR_RETURN(ConsistencyResult consistency,
+                          CheckConsistency(*dtd_, candidate, verdict_only_));
+    if (!consistency.consistent) return Outcome::kRejected;
+    accepted_ = std::move(candidate);
+    return Outcome::kAccepted;
+  }
+
+  const ConstraintSet& accepted() const { return accepted_; }
+
+ private:
+  const Dtd* dtd_;
+  bool check_redundancy_;
+  ConsistencyOptions verdict_only_;
+  ConstraintSet accepted_;
+};
 
 TEST(IncrementalSessionTest, SessionAndFreshModesAgreeOnOutcomeSequences) {
   Dtd dtd = workloads::CatalogDtd(3);
@@ -311,64 +372,69 @@ TEST(IncrementalSessionTest, SessionAndFreshModesAgreeOnOutcomeSequences) {
       Constraint::Inclusion("item1", {"ref"}, "item2", {"id"}),   // implied
       Constraint::Key("item3", {"id"}),
   };
-  IncrementalChecker session_mode(&dtd, {}, /*check_redundancy=*/true,
-                                  IncrementalChecker::Mode::kSession);
-  IncrementalChecker fresh_mode(&dtd, {}, /*check_redundancy=*/true,
-                                IncrementalChecker::Mode::kFresh);
+  IncrementalChecker checker(&dtd, {}, /*check_redundancy=*/true);
+  OneShotAuthoring one_shot(&dtd, /*check_redundancy=*/true);
   for (const Constraint& c : additions) {
-    auto via_session = session_mode.TryAdd(c);
-    auto via_fresh = fresh_mode.TryAdd(c);
+    auto via_session = checker.TryAdd(c);
+    auto via_one_shot = one_shot.TryAdd(c);
     ASSERT_TRUE(via_session.ok()) << c.ToString() << ": "
                                   << via_session.status();
-    ASSERT_TRUE(via_fresh.ok()) << c.ToString() << ": " << via_fresh.status();
-    EXPECT_EQ(via_session->outcome, via_fresh->outcome) << c.ToString();
+    ASSERT_TRUE(via_one_shot.ok())
+        << c.ToString() << ": " << via_one_shot.status();
+    EXPECT_EQ(via_session->outcome, *via_one_shot) << c.ToString();
   }
-  EXPECT_EQ(session_mode.accepted().ToString(),
-            fresh_mode.accepted().ToString());
-  EXPECT_GT(session_mode.session_stats().sigma_delta_checks, 0u);
-  EXPECT_EQ(fresh_mode.session_stats().queries, 0u);
+  EXPECT_EQ(checker.accepted().ToString(), one_shot.accepted().ToString());
+  EXPECT_GT(checker.session_stats().sigma_delta_checks, 0u);
+  IncrementalChecker idle(&dtd);
+  EXPECT_EQ(idle.session_stats().queries, 0u);
 
   // Negated keys cannot be tested for redundancy (¬¬k is not a constraint —
-  // both modes reject that identically), so they ride with redundancy off.
-  IncrementalChecker session_neg(&dtd, {}, /*check_redundancy=*/false,
-                                 IncrementalChecker::Mode::kSession);
-  IncrementalChecker fresh_neg(&dtd, {}, /*check_redundancy=*/false,
-                               IncrementalChecker::Mode::kFresh);
+  // both paths reject that identically), so they ride with redundancy off.
+  IncrementalChecker checker_neg(&dtd, {}, /*check_redundancy=*/false);
+  OneShotAuthoring one_shot_neg(&dtd, /*check_redundancy=*/false);
   std::vector<Constraint> with_neg = {
       Constraint::Key("item1", {"id"}),
       Constraint::NegKey("item3", {"ref"}),
       Constraint::ForeignKey("item1", {"ref"}, "item2", {"id"}),
   };
   for (const Constraint& c : with_neg) {
-    auto via_session = session_neg.TryAdd(c);
-    auto via_fresh = fresh_neg.TryAdd(c);
+    auto via_session = checker_neg.TryAdd(c);
+    auto via_one_shot = one_shot_neg.TryAdd(c);
     ASSERT_TRUE(via_session.ok()) << c.ToString() << ": "
                                   << via_session.status();
-    ASSERT_TRUE(via_fresh.ok()) << c.ToString() << ": " << via_fresh.status();
-    EXPECT_EQ(via_session->outcome, via_fresh->outcome) << c.ToString();
+    ASSERT_TRUE(via_one_shot.ok())
+        << c.ToString() << ": " << via_one_shot.status();
+    EXPECT_EQ(via_session->outcome, *via_one_shot) << c.ToString();
   }
-  EXPECT_EQ(session_neg.accepted().ToString(), fresh_neg.accepted().ToString());
+  EXPECT_EQ(checker_neg.accepted().ToString(),
+            one_shot_neg.accepted().ToString());
 }
 
 TEST(IncrementalSessionTest, Sigma1RejectionParity) {
-  // The paper's Σ1-over-D1 authoring story must play out identically in
-  // both modes, including which addition is the fatal one.
+  // The paper's Σ1-over-D1 authoring story must play out identically on the
+  // checker and through one-shot calls, including which addition is the
+  // fatal one.
   Dtd d1 = workloads::TeacherDtd();
-  for (auto mode : {IncrementalChecker::Mode::kSession,
-                    IncrementalChecker::Mode::kFresh}) {
-    IncrementalChecker checker(&d1, {}, true, mode);
-    std::vector<Constraint> sigma1 = workloads::TeacherSigma().constraints();
-    std::vector<Outcome> outcomes;
-    for (const Constraint& c : sigma1) {
-      auto result = checker.TryAdd(c);
-      ASSERT_TRUE(result.ok()) << result.status();
-      outcomes.push_back(result->outcome);
-    }
-    EXPECT_EQ(outcomes, (std::vector<Outcome>{Outcome::kAccepted,
-                                              Outcome::kAccepted,
-                                              Outcome::kRejected}));
-    EXPECT_EQ(checker.accepted().size(), 2u);
+  const std::vector<Outcome> expected = {Outcome::kAccepted,
+                                         Outcome::kAccepted,
+                                         Outcome::kRejected};
+  IncrementalChecker checker(&d1, {}, true);
+  OneShotAuthoring one_shot(&d1, true);
+  std::vector<Outcome> checker_outcomes;
+  std::vector<Outcome> one_shot_outcomes;
+  const ConstraintSet sigma1 = workloads::TeacherSigma();
+  for (const Constraint& c : sigma1.constraints()) {
+    auto via_session = checker.TryAdd(c);
+    ASSERT_TRUE(via_session.ok()) << via_session.status();
+    checker_outcomes.push_back(via_session->outcome);
+    auto via_one_shot = one_shot.TryAdd(c);
+    ASSERT_TRUE(via_one_shot.ok()) << via_one_shot.status();
+    one_shot_outcomes.push_back(*via_one_shot);
   }
+  EXPECT_EQ(checker_outcomes, expected);
+  EXPECT_EQ(one_shot_outcomes, expected);
+  EXPECT_EQ(checker.accepted().size(), 2u);
+  EXPECT_EQ(one_shot.accepted().size(), 2u);
 }
 
 TEST(IncrementalSessionTest, AcceptedAdditionsCarryCheckedWitnesses) {
