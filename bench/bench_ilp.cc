@@ -155,28 +155,18 @@ void RunConsistencySection(bench::JsonReport& report) {
     for (uint64_t s = 0; s < 8; ++s) {
       queries.push_back(workloads::RandomUnarySigma(c.dtd, c.seed + s, 4, 4));
     }
-    size_t pivots = 0;
-    uint64_t small_ops = 0, big_ops = 0, promotions = 0, demotions = 0;
-    uint64_t arena_bytes = 0;
-    LpKernelStats kernel;
+    SearchCounters total;
     std::vector<char> verdicts(queries.size());
     double ms = bench::BestTimeMs(3, [&] {
-      pivots = 0;
-      small_ops = big_ops = promotions = demotions = arena_bytes = 0;
-      kernel = LpKernelStats();
+      total = SearchCounters();
       for (size_t i = 0; i < queries.size(); ++i) {
         auto r = CheckConsistency(c.dtd, queries[i], check);
         if (!r.ok()) std::abort();
         verdicts[i] = r->consistent ? 1 : 0;
-        pivots += r->stats.lp_pivots;
-        kernel.Add(r->stats.lp_kernel);
-        small_ops += r->stats.num_small_ops;
-        big_ops += r->stats.num_big_ops;
-        promotions += r->stats.num_promotions;
-        demotions += r->stats.num_demotions;
-        arena_bytes += r->stats.arena_bytes;
+        total.Add(r->stats);
       }
     });
+    const LpKernelStats& kernel = total.lp_kernel;
 
     // Warm-start ablation: identical verdicts with warm starts disabled.
     ConsistencyOptions cold = check;
@@ -192,22 +182,24 @@ void RunConsistencySection(bench::JsonReport& report) {
     const std::string row = std::string("consistency:") + c.name;
     double base = Pr3Baseline(row);
     const double promo_rate =  // xicc-lint: allow(exact-arithmetic)
-        small_ops > 0 ? static_cast<double>(promotions) / small_ops : 0.0;
+        total.num_small_ops > 0
+            ? static_cast<double>(total.num_promotions) / total.num_small_ops
+            : 0.0;
     std::printf("%18s %8zu %12.3f %12zu %9.2fx %10.2e %10zu\n", c.name,
-                queries.size(), ms, pivots, base > 0 ? base / ms : 0.0,
-                promo_rate, static_cast<size_t>(arena_bytes));
+                queries.size(), ms, total.lp_pivots, base > 0 ? base / ms : 0.0,
+                promo_rate, static_cast<size_t>(total.arena_bytes));
     report.AddRow("consistency")
         .Set("dtd", c.name)
         .Set("queries", queries.size())
         .Set("time_ms", ms)
-        .Set("pivots", pivots)
+        .Set("pivots", total.lp_pivots)
         .Set("pr3_baseline_ms", base)
         .Set("speedup_vs_pr3_x", base > 0 ? base / ms : 0.0)
-        .Set("small_ops", small_ops)
-        .Set("big_ops", big_ops)
+        .Set("small_ops", total.num_small_ops)
+        .Set("big_ops", total.num_big_ops)
         .Set("promotion_rate", promo_rate)
-        .Set("demotions", demotions)
-        .Set("arena_bytes", arena_bytes)
+        .Set("demotions", total.num_demotions)
+        .Set("arena_bytes", total.arena_bytes)
         .Set("dantzig_pivots", kernel.dantzig_pivots)
         .Set("bland_pivots", kernel.bland_pivots)
         .Set("bland_fallbacks", kernel.bland_fallbacks)

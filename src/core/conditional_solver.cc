@@ -5,9 +5,7 @@
 #include <optional>
 #include <utility>
 
-#include "base/arena.h"
 #include "base/debug.h"
-#include "base/num.h"
 #include "base/thread_annotations.h"
 #include "base/worksteal.h"
 #include "ilp/audit.h"
@@ -20,8 +18,8 @@ namespace {
 /// Search state shared by every DFS worker of one solve — a single worker
 /// sequentially (num_threads = 1), or one per fanned-out prefix in the
 /// parallel regime. Only the node counter and the terminal flags are
-/// contended; per-worker statistics are accumulated locally and flushed
-/// once per task.
+/// contended; per-worker counters are accumulated locally and merged once
+/// per task.
 struct SearchShared {
   const std::vector<Conditional>* active = nullptr;
   IlpOptions options;
@@ -37,10 +35,13 @@ struct SearchShared {
   /// final status comes from the signal, with partial statistics attached.
   std::atomic<bool> stopped{false};
   Mutex mu;  // xicc-analyze: lock-leaf
-  /// `solution` carries feasible + values only (statistics are assembled
-  /// from the aggregated counters); `error` is the first leaf failure.
+  /// `solution` carries feasible + values only (its counters are assembled
+  /// by the solver); `error` is the first leaf failure.
   IlpSolution solution XICC_GUARDED_BY(mu);
   Status error XICC_GUARDED_BY(mu);
+  /// The work of the prefix tasks that ran on pool threads, each merged
+  /// once when its task ends — never inside a pivot loop.
+  SearchCounters pooled XICC_GUARDED_BY(mu);
 };
 
 /// One case-split DFS over a private trail-managed system. Resolutions are
@@ -78,23 +79,21 @@ class SplitWorker {
       tab = *parent;
       WarmResult warm =
           ReSolveLpFeasibilityDualInPlace(*system_, &tab, shared_->stop);
-      pivots += warm.lp.pivots;
-      kernel.Add(warm.lp);
+      counters.AddLp(warm.lp);
       if (warm.status == WarmStatus::kAborted) {
         shared_->stopped.store(true, std::memory_order_relaxed);
         return;
       }
       if (warm.status == WarmStatus::kOk) {
-        ++warm_starts;
+        ++counters.warm_starts;
         if (!warm.lp.feasible) return;
         have_tab = true;
       }
     }
     if (!have_tab) {
-      ++cold_restarts;
+      ++counters.cold_restarts;
       LpResult lp = SolveLpFeasibility(*system_, &tab, shared_->stop);
-      pivots += lp.pivots;
-      kernel.Add(lp);
+      counters.AddLp(lp);
       if (lp.aborted) {
         shared_->stopped.store(true, std::memory_order_relaxed);
         return;
@@ -112,20 +111,12 @@ class SplitWorker {
       Result<IlpSolution> leaf = SolveIlp(*system_, leaf_options, &tab);
       if (!leaf.ok()) {
         // A stopped leaf is the search being stopped, not failing: keep the
-        // work it did (flushed with this worker's counters) and let the
+        // work it did (merged with this worker's counters) and let the
         // solver report the stop status with partial statistics.
         const StatusCode code = leaf.status().code();
         if (code == StatusCode::kDeadlineExceeded ||
             code == StatusCode::kCancelled) {
-          ilp_nodes += leaf_partial.nodes_explored;
-          pivots += leaf_partial.lp_pivots;
-          cuts += leaf_partial.cuts_added;
-          warm_starts += leaf_partial.warm_starts;
-          cold_restarts += leaf_partial.cold_restarts;
-          kernel.Add(leaf_partial.lp_kernel);
-          if (leaf_partial.max_depth > max_depth) {
-            max_depth = leaf_partial.max_depth;
-          }
+          counters.Add(leaf_partial);
           MutexLock lock(&shared_->mu);
           if (shared_->error.ok()) shared_->error = leaf.status();
           shared_->stopped.store(true, std::memory_order_relaxed);
@@ -136,13 +127,7 @@ class SplitWorker {
         shared_->failed.store(true, std::memory_order_relaxed);
         return;
       }
-      ilp_nodes += leaf->nodes_explored;
-      pivots += leaf->lp_pivots;
-      cuts += leaf->cuts_added;
-      warm_starts += leaf->warm_starts;
-      cold_restarts += leaf->cold_restarts;
-      kernel.Add(leaf->lp_kernel);
-      if (leaf->max_depth > max_depth) max_depth = leaf->max_depth;
+      counters.Add(*leaf);
       if (leaf->feasible) {
         MutexLock lock(&shared_->mu);
         if (!shared_->found.load(std::memory_order_relaxed)) {
@@ -170,14 +155,11 @@ class SplitWorker {
     system_->PopCheckpoint();
   }
 
-  // Per-worker statistics, flushed by the caller after the task finishes.
-  size_t pivots = 0;
-  size_t warm_starts = 0;
-  size_t cold_restarts = 0;
-  size_t cuts = 0;
-  size_t ilp_nodes = 0;  ///< Branch-and-bound nodes inside leaf solves.
-  size_t max_depth = 0;  ///< Deepest branch-and-bound node over all leaves.
-  LpKernelStats kernel;  ///< Sparse LP kernel counters (DESIGN.md §12).
+  /// This worker's counters (case-split nodes excepted: those are the
+  /// shared `nodes`), merged by the caller after the task finishes. The
+  /// traffic fields sum the leaf solves' own slices; the caller replaces
+  /// them with the delta measured around the whole task.
+  SearchCounters counters;
 
  private:
   bool Done() const {
@@ -214,16 +196,14 @@ class CaseSplitSolver {
         warm_(warm) {}
 
   Result<IlpSolution> Run() {
-    const auto start = std::chrono::steady_clock::now();
+    start_ = std::chrono::steady_clock::now();
     if (options_.stop.Armed()) stop_ = &options_.stop;
     // Two-tier arithmetic + arena traffic: everything this solve does on the
     // calling thread (leaf ILPs, presolve probes, the sequential DFS) lands
     // in this thread's counters, so one delta at the end captures it without
-    // double-counting the nested SolveIlp's own accounting. Pool workers
-    // measure their own thread-local deltas and flush them atomically (see
-    // RunSearch).
-    counters_before_ = ThisThreadNumCounters();
-    arena_before_ = ThisThreadArena().total_allocated();
+    // double-counting the nested SolveIlp's own accounting. Pool tasks
+    // measure their own thread-local deltas (see RunSearch).
+    traffic_ = ThreadTraffic();
 
     // The base basis: factorized cold exactly once — taken from the caller's
     // cross-round context when available (the connectivity-cut loop re-enters
@@ -242,12 +222,11 @@ class CaseSplitSolver {
       base_ro = &warm_->base_tableau;
       tab_ok = true;
     } else {
-      ++cold_restarts_;
+      ++counters_.cold_restarts;
       LpResult lp = SolveLpFeasibility(*work_, &base_tab, stop_);
-      pivots_ += lp.pivots;
-      kernel_.Add(lp);
-      if (lp.aborted) return NoVerdict(stop_->ToStatus(), nullptr, start);
-      if (!lp.feasible) return AssembleInfeasible(start);
+      counters_.AddLp(lp);
+      if (lp.aborted) return NoVerdict(stop_->ToStatus());
+      if (!lp.feasible) return Finish(IlpSolution());
       tab_ok = true;
       base_ro = &base_tab;
       if (warm_ != nullptr) {
@@ -277,24 +256,11 @@ class CaseSplitSolver {
           SolveIlp(*work_, leaf_options, tab_ok ? base_ro : nullptr);
       work_->PopCheckpoint();
       if (!leaf.ok()) {
-        Accumulate(leaf_partial);
-        return NoVerdict(leaf.status(), nullptr, start);
+        counters_.Add(leaf_partial);
+        return NoVerdict(leaf.status());
       }
-      if (leaf->feasible) {
-        Accumulate(*leaf);
-        IlpSolution out = std::move(*leaf);
-        out.nodes_explored = nodes_;
-        out.lp_pivots = pivots_;
-        out.cuts_added = cuts_;
-        out.warm_starts = warm_starts_;
-        out.cold_restarts = cold_restarts_;
-        out.lp_kernel = kernel_;
-        out.max_depth = max_depth_;
-        FillNumStats(&out);
-        out.wall_ms = ElapsedMs(start);
-        return out;
-      }
-      Accumulate(*leaf);
+      counters_.Add(*leaf);
+      if (leaf->feasible) return Finish(std::move(*leaf));
     }
 
     // The split machinery below mutates its basis (presolve extends it over
@@ -310,13 +276,13 @@ class CaseSplitSolver {
     // warm from the base basis.
     for (const Conditional& cond : conditionals_) {
       if (stop_ != nullptr && stop_->ShouldStop()) {
-        return NoVerdict(stop_->ToStatus(), nullptr, start);
+        return NoVerdict(stop_->ToStatus());
       }
       work_->PushCheckpoint();
       work_->AddConstraint(cond.premise, RelOp::kEq, BigInt(0));
       bool premise_can_vanish = ProbeLp(base_tab, tab_ok);
       work_->PopCheckpoint();
-      if (stopped_) return NoVerdict(stop_->ToStatus(), nullptr, start);
+      if (stopped_) return NoVerdict(stop_->ToStatus());
       if (premise_can_vanish) {
         active_.push_back(cond);
         continue;
@@ -327,16 +293,15 @@ class CaseSplitSolver {
         // probes and the DFS root stay warm; on failure the basis simply
         // keeps covering its old prefix (still a valid warm seed).
         WarmResult warm = ReSolveLpFeasibilityDual(*work_, &base_tab, stop_);
-        pivots_ += warm.lp.pivots;
-        kernel_.Add(warm.lp);
+        counters_.AddLp(warm.lp);
         if (warm.status == WarmStatus::kAborted) {
-          return NoVerdict(stop_->ToStatus(), nullptr, start);
+          return NoVerdict(stop_->ToStatus());
         }
         if (warm.status == WarmStatus::kOk) {
-          ++warm_starts_;
+          ++counters_.warm_starts;
           // Forced conclusions hold in every solution satisfying the
           // conditionals, so their joint infeasibility settles the verdict.
-          if (!warm.lp.feasible) return AssembleInfeasible(start);
+          if (!warm.lp.feasible) return Finish(IlpSolution());
         }
       }
     }
@@ -352,16 +317,14 @@ class CaseSplitSolver {
     shared.options.root_scratch = nullptr;
     shared.options.partial = nullptr;
     RunSearch(&base_tab, tab_ok, &shared);
+    counters_.ilp_nodes += shared.nodes.load();
     XICC_DCHECK_AUDIT(AuditTrail(*work_));
 
     if (shared.found.load()) {
       // All workers have exited (pool.Wait / sequential return), but the
       // annotated discipline still wants the lock for the guarded move.
       MutexLock lock(&shared.mu);
-      IlpSolution out = std::move(shared.solution);
-      FillStats(&out, shared);
-      out.wall_ms = ElapsedMs(start);
-      return out;
+      return Finish(std::move(shared.solution));
     }
     if (shared.failed.load()) {
       MutexLock lock(&shared.mu);
@@ -380,59 +343,35 @@ class CaseSplitSolver {
                             ? stop_->ToStatus()
                             : Status::Cancelled("case-split was stopped"));
       }
-      return NoVerdict(status, &shared, start);
+      return NoVerdict(status);
     }
     if (shared.budget_hit.load()) {
       return NoVerdict(Status::ResourceExhausted(
-                           "conditional case-split exceeded node budget"),
-                       &shared, start);
+          "conditional case-split exceeded node budget"));
     }
-    IlpSolution out;
-    out.feasible = false;
-    FillStats(&out, shared);
-    out.wall_ms = ElapsedMs(start);
-    return out;
+    return Finish(IlpSolution());
   }
 
  private:
-  // Timing only, never a verdict. xicc-lint: allow(exact-arithmetic)
-  static double ElapsedMs(std::chrono::steady_clock::time_point start) {
-    return std::chrono::duration<double, std::milli>(  // xicc-lint: allow(exact-arithmetic)
-               std::chrono::steady_clock::now() - start)
-        .count();
-  }
-
-  void Accumulate(const IlpSolution& partial) {
-    nodes_ += partial.nodes_explored;
-    pivots_ += partial.lp_pivots;
-    cuts_ += partial.cuts_added;
-    warm_starts_ += partial.warm_starts;
-    cold_restarts_ += partial.cold_restarts;
-    kernel_.Add(partial.lp_kernel);
-    if (partial.max_depth > max_depth_) max_depth_ = partial.max_depth;
-  }
-
   /// LP feasibility of the current work_ state, warm from `base_tab` when
   /// usable; used by the presolve probes (verdict only, no tableau kept).
   bool ProbeLp(const LpTableau& base_tab, bool tab_ok) {
     if (tab_ok && options_.warm_start) {
       LpTableau probe = base_tab;
       WarmResult warm = ReSolveLpFeasibilityDualInPlace(*work_, &probe, stop_);
-      pivots_ += warm.lp.pivots;
-      kernel_.Add(warm.lp);
+      counters_.AddLp(warm.lp);
       if (warm.status == WarmStatus::kAborted) {
         stopped_ = true;
         return false;  // Meaningless; the caller checks stopped_ first.
       }
       if (warm.status == WarmStatus::kOk) {
-        ++warm_starts_;
+        ++counters_.warm_starts;
         return warm.lp.feasible;
       }
     }
-    ++cold_restarts_;
+    ++counters_.cold_restarts;
     LpResult lp = SolveLpFeasibility(*work_, nullptr, stop_);
-    pivots_ += lp.pivots;
-    kernel_.Add(lp);
+    counters_.AddLp(lp);
     if (lp.aborted) {
       stopped_ = true;
       return false;
@@ -440,13 +379,15 @@ class CaseSplitSolver {
     return lp.feasible;
   }
 
+  /// Runs the case-split DFS and merges its workers' counters: a
+  /// calling-thread worker into counters_, the pool tasks into pooled_.
   void RunSearch(LpTableau* root_tab, bool tab_ok, SearchShared* shared) {
     const LpTableau* root = tab_ok ? root_tab : nullptr;
     const size_t threads = options_.num_threads;
     if (threads <= 1 || active_.size() < 2) {
       SplitWorker worker(shared, work_);
       worker.Explore(0, root);
-      FlushWorker(worker);
+      counters_.Add(worker.counters);
       return;
     }
 
@@ -461,23 +402,6 @@ class CaseSplitSolver {
     }
     if (levels > active_.size()) levels = active_.size();
     const size_t num_tasks = size_t{1} << levels;
-
-    std::atomic<size_t> pivots{0};
-    std::atomic<size_t> warm_starts{0};
-    std::atomic<size_t> cold_restarts{0};
-    std::atomic<size_t> cuts{0};
-    std::atomic<size_t> ilp_nodes{0};
-    std::atomic<size_t> deepest{0};
-    std::atomic<uint64_t> small_ops{0};
-    std::atomic<uint64_t> big_ops{0};
-    std::atomic<uint64_t> promotions{0};
-    std::atomic<uint64_t> demotions{0};
-    std::atomic<uint64_t> arena_bytes{0};
-    // The eight sparse-kernel counters travel as one struct under a leaf
-    // mutex instead of eight more atomics — the flush runs once per prefix
-    // task, never inside a pivot loop.
-    Mutex kernel_mu;  // xicc-analyze: lock-leaf
-    LpKernelStats kernel_delta;
     {
       // Constructed with the solve's cancel token (when any): Cancel() then
       // wakes parked workers and the pool drains unstarted prefix tasks
@@ -487,10 +411,7 @@ class CaseSplitSolver {
       for (size_t mask = 0; mask < num_tasks; ++mask) {
         // Bit i of `mask` picks conditional i's resolution; enumeration
         // order matches the sequential DFS (conclusion side first).
-        pool.Submit([this, mask, levels, root, shared, &pivots, &warm_starts,
-                     &cold_restarts, &cuts, &ilp_nodes, &deepest, &small_ops,
-                     &big_ops, &promotions, &demotions, &arena_bytes,
-                     &kernel_mu, &kernel_delta] {
+        pool.Submit([this, mask, levels, root, shared] {
           if (shared->found.load(std::memory_order_relaxed) ||
               shared->failed.load(std::memory_order_relaxed) ||
               shared->budget_hit.load(std::memory_order_relaxed) ||
@@ -501,10 +422,9 @@ class CaseSplitSolver {
             shared->stopped.store(true, std::memory_order_relaxed);
             return;
           }
-          // Thread-local arithmetic/arena deltas per task: several tasks run
-          // back-to-back on one pool thread, so each brackets its own slice.
-          const NumCounters num_before = ThisThreadNumCounters();
-          const uint64_t bytes_before = ThisThreadArena().total_allocated();
+          // Several tasks run back-to-back on one pool thread, so each
+          // measures its own slice of the thread's traffic.
+          const ThreadTraffic traffic;
           LinearSystem local = *work_;
           for (size_t level = 0; level < levels; ++level) {
             const Conditional& cond = active_[level];
@@ -516,126 +436,38 @@ class CaseSplitSolver {
           }
           SplitWorker worker(shared, &local);
           worker.Explore(levels, root);
-          pivots.fetch_add(worker.pivots, std::memory_order_relaxed);
-          warm_starts.fetch_add(worker.warm_starts,
-                                std::memory_order_relaxed);
-          cold_restarts.fetch_add(worker.cold_restarts,
-                                  std::memory_order_relaxed);
-          cuts.fetch_add(worker.cuts, std::memory_order_relaxed);
-          ilp_nodes.fetch_add(worker.ilp_nodes, std::memory_order_relaxed);
-          {
-            MutexLock lock(&kernel_mu);
-            kernel_delta.Add(worker.kernel);
-          }
-          size_t seen = deepest.load(std::memory_order_relaxed);
-          while (worker.max_depth > seen &&
-                 !deepest.compare_exchange_weak(seen, worker.max_depth,
-                                                std::memory_order_relaxed)) {
-          }
-          const NumCounters& num_after = ThisThreadNumCounters();
-          small_ops.fetch_add(num_after.small_ops - num_before.small_ops,
-                              std::memory_order_relaxed);
-          big_ops.fetch_add(num_after.big_ops - num_before.big_ops,
-                            std::memory_order_relaxed);
-          promotions.fetch_add(num_after.promotions - num_before.promotions,
-                               std::memory_order_relaxed);
-          demotions.fetch_add(num_after.demotions - num_before.demotions,
-                              std::memory_order_relaxed);
-          arena_bytes.fetch_add(
-              ThisThreadArena().total_allocated() - bytes_before,
-              std::memory_order_relaxed);
+          traffic.MeasureInto(&worker.counters);
+          MutexLock lock(&shared->mu);
+          shared->pooled.Add(worker.counters);
         });
       }
       pool.Wait();
     }
-    pivots_ += pivots.load();
-    warm_starts_ += warm_starts.load();
-    cold_restarts_ += cold_restarts.load();
-    cuts_ += cuts.load();
-    nodes_ += ilp_nodes.load();
-    kernel_.Add(kernel_delta);
-    if (deepest.load() > max_depth_) max_depth_ = deepest.load();
-    worker_small_ops_ += small_ops.load();
-    worker_big_ops_ += big_ops.load();
-    worker_promotions_ += promotions.load();
-    worker_demotions_ += demotions.load();
-    worker_arena_bytes_ += arena_bytes.load();
+    MutexLock lock(&shared->mu);
+    pooled_ = shared->pooled;
   }
 
-  void FlushWorker(const SplitWorker& worker) {
-    pivots_ += worker.pivots;
-    warm_starts_ += worker.warm_starts;
-    cold_restarts_ += worker.cold_restarts;
-    cuts_ += worker.cuts;
-    nodes_ += worker.ilp_nodes;
-    kernel_.Add(worker.kernel);
-    if (worker.max_depth > max_depth_) max_depth_ = worker.max_depth;
-  }
-
-  void FillStats(IlpSolution* out, const SearchShared& shared) {
-    out->nodes_explored = nodes_ + shared.nodes.load();
-    out->lp_pivots = pivots_;
-    out->cuts_added = cuts_;
-    out->warm_starts = warm_starts_;
-    out->cold_restarts = cold_restarts_;
-    out->lp_kernel = kernel_;
-    out->max_depth = max_depth_;
-    FillNumStats(out);
-  }
-
-  /// Assembles the no-verdict exit: `status` says why there is no answer,
-  /// and the caller's partial sink (when given) receives everything counted
-  /// so far — the work already done is part of the contract.
-  Status NoVerdict(Status status, const SearchShared* shared,
-                   std::chrono::steady_clock::time_point start) {
-    if (options_.partial != nullptr) {
-      IlpSolution out;
-      out.feasible = false;
-      out.nodes_explored =
-          nodes_ + (shared != nullptr ? shared->nodes.load() : 0);
-      out.lp_pivots = pivots_;
-      out.cuts_added = cuts_;
-      out.warm_starts = warm_starts_;
-      out.cold_restarts = cold_restarts_;
-      out.lp_kernel = kernel_;
-      out.max_depth = max_depth_;
-      FillNumStats(&out);
-      out.wall_ms = ElapsedMs(start);
-      *options_.partial = out;
-    }
-    return status;
-  }
-
-  /// Calling-thread delta since Run() started, plus whatever the pool
-  /// workers flushed. Leaf SolveIlp calls report their own slices too, but
-  /// those slices are *contained* in this thread's running counters, so the
-  /// delta counts them exactly once.
-  void FillNumStats(IlpSolution* out) const {
-    const NumCounters& now = ThisThreadNumCounters();
-    out->num_small_ops =
-        now.small_ops - counters_before_.small_ops + worker_small_ops_;
-    out->num_big_ops = now.big_ops - counters_before_.big_ops + worker_big_ops_;
-    out->num_promotions =
-        now.promotions - counters_before_.promotions + worker_promotions_;
-    out->num_demotions =
-        now.demotions - counters_before_.demotions + worker_demotions_;
-    out->arena_bytes = ThisThreadArena().total_allocated() - arena_before_ +
-                       worker_arena_bytes_;
-  }
-
-  Result<IlpSolution> AssembleInfeasible(
-      std::chrono::steady_clock::time_point start) {
-    IlpSolution out;
-    out.feasible = false;
-    out.nodes_explored = nodes_;
-    out.lp_pivots = pivots_;
-    out.cuts_added = cuts_;
-    out.warm_starts = warm_starts_;
-    out.cold_restarts = cold_restarts_;
-    out.lp_kernel = kernel_;
-    FillNumStats(&out);
-    out.wall_ms = ElapsedMs(start);
+  /// Everything counted so far, as this solver reports it into `out`: the
+  /// merged counters, with the calling thread's traffic since Run() started
+  /// (every nested same-thread solve's slice counted once) plus the pool
+  /// tasks' own, and the elapsed wall time.
+  IlpSolution Finish(IlpSolution out) const {
+    static_cast<SearchCounters&>(out) = counters_;
+    traffic_.MeasureInto(&out);
+    out.Add(pooled_);
+    out.ilp_wall_ms =
+        std::chrono::duration<double, std::milli>(  // xicc-lint: allow(exact-arithmetic)
+            std::chrono::steady_clock::now() - start_)
+            .count();
     return out;
+  }
+
+  /// The no-verdict exit: `status` says why there is no answer, and the
+  /// caller's partial sink (when given) receives everything counted so far
+  /// — the work already done is part of the contract.
+  Status NoVerdict(Status status) const {
+    if (options_.partial != nullptr) *options_.partial = Finish(IlpSolution());
+    return status;
   }
 
   std::optional<LinearSystem> owned_;  // Copying mode only.
@@ -650,25 +482,14 @@ class CaseSplitSolver {
   /// (ProbeLp cannot return the fact any other way).
   bool stopped_ = false;
 
-  // Statistics accumulated outside the DFS (optimistic leaf, presolve) and
-  // flushed from workers after it.
-  size_t nodes_ = 0;
-  size_t pivots_ = 0;
-  size_t cuts_ = 0;
-  size_t warm_starts_ = 0;
-  size_t cold_restarts_ = 0;
-  size_t max_depth_ = 0;
-  LpKernelStats kernel_;
-
-  // Two-tier arithmetic accounting (see Run/FillNumStats): calling-thread
-  // baselines plus the pool workers' flushed deltas.
-  NumCounters counters_before_;
-  uint64_t arena_before_ = 0;
-  uint64_t worker_small_ops_ = 0;
-  uint64_t worker_big_ops_ = 0;
-  uint64_t worker_promotions_ = 0;
-  uint64_t worker_demotions_ = 0;
-  uint64_t worker_arena_bytes_ = 0;
+  std::chrono::steady_clock::time_point start_;
+  /// Counters of the work done on the calling thread (base LP, optimistic
+  /// leaf, presolve, a sequential DFS) and the case-split nodes; their
+  /// traffic fields are superseded by traffic_ (see Finish).
+  SearchCounters counters_;
+  /// The parallel DFS's pool tasks, each with its own thread's traffic.
+  SearchCounters pooled_;
+  ThreadTraffic traffic_;
 };
 
 }  // namespace

@@ -20,7 +20,7 @@ Result<IlpSolution> SolveReportingPartial(const CardinalityEncoding& enc,
   Result<IlpSolution> solved =
       SolveEncodingSystem(enc, enc.system, solve_options);
   if (!solved.ok() && options.partial_stats != nullptr) {
-    FillIlpStats(partial, stats);
+    stats->Add(partial);
     *options.partial_stats = *stats;
   }
   return solved;
@@ -105,7 +105,7 @@ Result<ConsistencyResult> CheckConsistency(const Dtd& dtd,
       result.method = options.strategy == SolveStrategy::kCaseSplit
                           ? "ilp-case-split"
                           : "ilp-big-m";
-      FillIlpStats(solved, &result.stats);
+      result.stats.Add(solved);
       result.consistent = solved.feasible;
       if (!result.consistent) {
         result.explanation = kCardinalityExplanation;
@@ -135,7 +135,7 @@ Result<ConsistencyResult> CheckConsistency(const Dtd& dtd,
           IlpSolution solved,
           SolveReportingPartial(enc.base, options, &result.stats));
       result.method = "set-representation";
-      FillIlpStats(solved, &result.stats);
+      result.stats.Add(solved);
       result.consistent = solved.feasible;
       if (!result.consistent) {
         result.explanation =

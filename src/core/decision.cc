@@ -19,21 +19,6 @@ EncodingSolveOptions ToSolveOptions(const ConsistencyOptions& options) {
   return out;
 }
 
-void FillIlpStats(const IlpSolution& solved, ConsistencyStats* stats) {
-  stats->ilp_nodes = solved.nodes_explored;
-  stats->lp_pivots = solved.lp_pivots;
-  stats->warm_starts = solved.warm_starts;
-  stats->cold_restarts = solved.cold_restarts;
-  stats->search_depth = solved.max_depth;
-  stats->lp_kernel = solved.lp_kernel;
-  stats->num_small_ops = solved.num_small_ops;
-  stats->num_big_ops = solved.num_big_ops;
-  stats->num_promotions = solved.num_promotions;
-  stats->num_demotions = solved.num_demotions;
-  stats->arena_bytes = solved.arena_bytes;
-  stats->ilp_wall_ms = solved.wall_ms;
-}
-
 void AddMinimumSizeRow(const ConsistencyOptions& options,
                        const CardinalityEncoding& encoding,
                        LinearSystem* system) {

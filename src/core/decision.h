@@ -36,10 +36,6 @@ inline constexpr char kCardinalityExplanation[] =
 /// ILP options — one knob arms the whole stack.
 EncodingSolveOptions ToSolveOptions(const ConsistencyOptions& options);
 
-/// Copies an ILP solution's counters into the check's stats block — used on
-/// verdicts and (via the partial sink) on stopped/exhausted exits alike.
-void FillIlpStats(const IlpSolution& solved, ConsistencyStats* stats);
-
 /// Adds Σ_τ ext(τ) ≥ options.min_witness_nodes over `encoding`'s element
 /// types to `system` (no row when no minimum size is asked for).
 void AddMinimumSizeRow(const ConsistencyOptions& options,

@@ -46,25 +46,6 @@ std::set<std::string> PhantomSupport(const CardinalityEncoding& encoding,
   return phantom;
 }
 
-/// Adds `from`'s statistics into `into` (values/feasible untouched) — used
-/// both to chain connectivity rounds and to hand earlier rounds' work to the
-/// caller's partial sink when a later round is stopped.
-void FoldStats(const IlpSolution& from, IlpSolution* into) {
-  into->nodes_explored += from.nodes_explored;
-  into->lp_pivots += from.lp_pivots;
-  into->cuts_added += from.cuts_added;
-  into->warm_starts += from.warm_starts;
-  into->cold_restarts += from.cold_restarts;
-  into->lp_kernel.Add(from.lp_kernel);
-  if (from.max_depth > into->max_depth) into->max_depth = from.max_depth;
-  into->num_small_ops += from.num_small_ops;
-  into->num_big_ops += from.num_big_ops;
-  into->num_promotions += from.num_promotions;
-  into->num_demotions += from.num_demotions;
-  into->arena_bytes += from.arena_bytes;
-  into->wall_ms += from.wall_ms;
-}
-
 }  // namespace
 
 bool SupportIsConnected(const CardinalityEncoding& encoding,
@@ -99,7 +80,7 @@ Result<IlpSolution> SolveEncodingSystemInPlace(
     // overshoot past a deadline by one poll interval, not one round.
     if (options.ilp.stop.Armed() && options.ilp.stop.ShouldStop()) {
       if (options.ilp.partial != nullptr) {
-        FoldStats(accumulated, options.ilp.partial);
+        options.ilp.partial->Add(accumulated);
       }
       return options.ilp.stop.ToStatus();
     }
@@ -113,11 +94,11 @@ Result<IlpSolution> SolveEncodingSystemInPlace(
       // The inner solver reported only its own round into the partial sink;
       // fold in what the earlier rounds already did.
       if (options.ilp.partial != nullptr) {
-        FoldStats(accumulated, options.ilp.partial);
+        options.ilp.partial->Add(accumulated);
       }
       return solved.status();
     }
-    FoldStats(accumulated, &*solved);
+    solved->Add(accumulated);
     if (!solved->feasible) return solved;
 
     std::set<std::string> phantom = PhantomSupport(encoding, *solved);

@@ -398,7 +398,7 @@ Result<ConsistencyResult> SpecSession::CheckDelta(const ConstraintSet& encoded,
   if (!solved.ok()) {
     // A stopped or exhausted delta check still reports the work it did;
     // the trail itself unwinds via `scope` exactly as on a verdict.
-    FillIlpStats(partial, &result.stats);
+    result.stats.Add(partial);
     last_partial_ = result.stats;
     return solved.status();
   }
@@ -408,7 +408,7 @@ Result<ConsistencyResult> SpecSession::CheckDelta(const ConstraintSet& encoded,
                         ? "ilp-case-split"
                         : "ilp-big-m";
   }
-  FillIlpStats(*solved, &result.stats);
+  result.stats.Add(*solved);
   result.consistent = solved->feasible;
   if (!result.consistent) {
     result.explanation = kind == DeltaKind::kMinSizeOnly

@@ -4,6 +4,7 @@
 
 #include "base/bigint.h"
 #include "base/deadline.h"
+#include "base/num.h"
 #include "base/status.h"
 #include "ilp/linear_system.h"
 #include "ilp/simplex.h"
@@ -61,40 +62,73 @@ struct IlpOptions {
   IlpSolution* partial = nullptr;
 };
 
-struct IlpSolution {
-  bool feasible = false;
-  /// Integer values per variable when feasible.
-  std::vector<BigInt> values;
-  /// Statistics.
-  size_t nodes_explored = 0;
+/// The work counters of one search — a plain ILP solve, a conditional case
+/// split, or a whole consistency check. Declared once: IlpSolution and
+/// ConsistencyStats both carry them, and every solver layer merges its
+/// parts with Add().
+struct SearchCounters {
+  /// Branch-and-bound nodes explored (plus case-split nodes, for a split).
+  size_t ilp_nodes = 0;
   size_t lp_pivots = 0;
   size_t cuts_added = 0;
-  /// Deepest branch-and-bound node reached (root = 0) — the best-so-far
-  /// depth reported with partial statistics when a solve is stopped.
-  size_t max_depth = 0;
   /// LP solves served incrementally from a parent basis (dual simplex).
   size_t warm_starts = 0;
   /// LP solves that ran the cold phase-1 path (root nodes, disabled warm
   /// start, or warm-basis fallbacks).
   size_t cold_restarts = 0;
-  /// Sparse LP kernel (DESIGN.md §12), summed over every LP solve of this
-  /// ILP solve: pivots priced by each rule, Dantzig→Bland degeneracy
-  /// fallbacks, fill-in, tableau density, and the int64 fast lane's
-  /// row/promotion tallies.
+  /// Deepest branch-and-bound node reached (root = 0) — the best-so-far
+  /// depth, and the most useful single number in a partial report of a
+  /// stopped search.
+  size_t search_depth = 0;
+  /// Sparse LP kernel (DESIGN.md §12), summed over every LP solve: pivots
+  /// priced by each rule, Dantzig→Bland degeneracy fallbacks, fill-in,
+  /// tableau density, and the int64 fast lane's row/promotion tallies.
   LpKernelStats lp_kernel;
-  /// Two-tier exact arithmetic (base/num.h), this solve's share: operations
-  /// served by the packed small tier vs the BigInt tier, and the transitions
-  /// between them. promotions/small_ops is the promotion rate the benches
-  /// report.
+  /// Two-tier exact arithmetic (base/num.h): pivot-loop operations served by
+  /// the packed small tier vs the BigInt tier, and the transitions between
+  /// them. num_promotions / num_small_ops is the promotion rate the benches
+  /// report. Set, like arena_bytes, from a ThreadTraffic delta at each
+  /// solver boundary.
   uint64_t num_small_ops = 0;
   uint64_t num_big_ops = 0;
   uint64_t num_promotions = 0;
   uint64_t num_demotions = 0;
-  /// Bytes of per-thread arena scratch consumed by this solve (cumulative
-  /// traffic, not footprint — see Arena::total_allocated).
+  /// Bytes of per-thread arena scratch consumed (cumulative traffic, not
+  /// footprint — see Arena::total_allocated).
   uint64_t arena_bytes = 0;
-  /// Wall-clock time spent inside the solve.
-  double wall_ms = 0.0;  // xicc-lint: allow(exact-arithmetic)
+  /// Wall time spent inside the search (case split + branch-and-bound).
+  double ilp_wall_ms = 0.0;  // xicc-lint: allow(exact-arithmetic)
+
+  /// Merges `other` in: every counter sums, except search_depth, which
+  /// takes the max.
+  void Add(const SearchCounters& other);
+  /// Folds in one LP solve: its pivots and sparse-kernel counters.
+  void AddLp(const LpResult& lp) {
+    lp_pivots += lp.pivots;
+    lp_kernel.Add(lp);
+  }
+};
+
+/// A snapshot of the calling thread's two-tier arithmetic and arena
+/// counters, taken at a solver boundary. A solver's traffic is the delta
+/// from its own snapshot: a nested solve on the same thread is contained in
+/// the outer delta, so it is counted exactly once.
+class ThreadTraffic {
+ public:
+  ThreadTraffic();
+  /// Overwrites `out`'s num_* and arena_bytes with this thread's traffic
+  /// since the snapshot.
+  void MeasureInto(SearchCounters* out) const;
+
+ private:
+  NumCounters num_;
+  uint64_t arena_bytes_ = 0;
+};
+
+struct IlpSolution : SearchCounters {
+  bool feasible = false;
+  /// Integer values per variable when feasible.
+  std::vector<BigInt> values;
 };
 
 /// The Papadimitriou bound (J.ACM 28(4), 1981), as used in Theorem 4.1 and

@@ -156,36 +156,12 @@ Result<XmlSpec> LoadSpec(const std::string& dtd_path,
   return XmlSpec::Parse(dtd_text, sigma_text);
 }
 
-/// Parses a flag value that must be an integer >= `min`. Rejects empty
-/// values, trailing junk ("10x"), and out-of-range magnitudes (ERANGE or
-/// beyond the int64 the callers store), each with a usage hint so the
-/// operator sees what shape was expected.
-Result<int64_t> ParseIntFlag(const std::string& name, const std::string& text,
-                             int64_t min, const std::string& expected) {
-  errno = 0;
-  char* end = nullptr;
-  long long n = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') {
-    return Status::InvalidArgument(name + " needs " + expected + ", got '" +
-                                   text + "' (run `xicc` for usage)");
-  }
-  if (errno == ERANGE) {
-    return Status::InvalidArgument(name + " value '" + text +
-                                   "' is out of range (run `xicc` for usage)");
-  }
-  if (n < min) {
-    return Status::InvalidArgument(name + " needs " + expected + ", got '" +
-                                   text + "' (run `xicc` for usage)");
-  }
-  return static_cast<int64_t>(n);
-}
-
 /// Parses an optional positive-integer flag; 0 means "not given".
 Result<int64_t> PositiveMsFlag(const ParsedArgs& parsed,
                                const std::string& name) {
   auto it = parsed.flags.find(name);
   if (it == parsed.flags.end()) return int64_t{0};
-  return ParseIntFlag(name, it->second, 1, "a positive integer (ms)");
+  return ParseIntFlag("xicc", name, it->second, 1, "a positive integer (ms)");
 }
 
 /// The --timeout-ms / --cancel-after plumbing shared by check and batch:
@@ -214,7 +190,7 @@ Result<ConsistencyOptions> OptionsFromFlags(const ParsedArgs& parsed) {
   auto it = parsed.flags.find("--min-nodes");
   if (it != parsed.flags.end()) {
     XICC_ASSIGN_OR_RETURN(int64_t n,
-                          ParseIntFlag("--min-nodes", it->second, 0,
+                          ParseIntFlag("xicc", "--min-nodes", it->second, 0,
                                        "a nonnegative integer"));
     options.min_witness_nodes = static_cast<size_t>(n);
   }
@@ -424,7 +400,7 @@ int CmdBatch(const std::vector<std::string>& args, std::ostream& out,
   }
   auto threads_flag = parsed->flags.find("--threads");
   if (threads_flag != parsed->flags.end()) {
-    auto n = ParseIntFlag("--threads", threads_flag->second, 1,
+    auto n = ParseIntFlag("xicc", "--threads", threads_flag->second, 1,
                           "a positive integer");
     if (!n.ok()) {
       err << n.status() << "\n";
@@ -434,7 +410,7 @@ int CmdBatch(const std::vector<std::string>& args, std::ostream& out,
   }
   auto chunk_flag = parsed->flags.find("--chunk");
   if (chunk_flag != parsed->flags.end()) {
-    auto n = ParseIntFlag("--chunk", chunk_flag->second, 1,
+    auto n = ParseIntFlag("xicc", "--chunk", chunk_flag->second, 1,
                           "a positive integer");
     if (!n.ok()) {
       err << n.status() << "\n";
@@ -504,20 +480,10 @@ int CmdBatch(const std::vector<std::string>& args, std::ostream& out,
     }
     out << "\n";
     all_consistent = all_consistent && item.result.consistent;
+    total.Add(item.result.stats);
     total.sigma_delta_checks += item.result.stats.sigma_delta_checks;
     total.memo_hits += item.result.stats.memo_hits;
     total.memo_misses += item.result.stats.memo_misses;
-    total.ilp_nodes += item.result.stats.ilp_nodes;
-    total.lp_pivots += item.result.stats.lp_pivots;
-    total.warm_starts += item.result.stats.warm_starts;
-    total.cold_restarts += item.result.stats.cold_restarts;
-    total.num_small_ops += item.result.stats.num_small_ops;
-    total.num_big_ops += item.result.stats.num_big_ops;
-    total.num_promotions += item.result.stats.num_promotions;
-    total.num_demotions += item.result.stats.num_demotions;
-    total.lp_kernel.Add(item.result.stats.lp_kernel);
-    total.arena_bytes += item.result.stats.arena_bytes;
-    total.ilp_wall_ms += item.result.stats.ilp_wall_ms;
   }
   out << "queries:    " << results.size() << "\n";
   if (parsed->flags.count("--stats")) {
@@ -957,6 +923,28 @@ int CmdIdrefs(const std::vector<std::string>& args, std::ostream& out,
 }
 
 }  // namespace
+
+Result<int64_t> ParseIntFlag(const std::string& program,
+                             const std::string& name, const std::string& text,
+                             int64_t min, const std::string& expected) {
+  const std::string hint = " (run `" + program + " --help` for usage)";
+  errno = 0;
+  char* end = nullptr;
+  long long n = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0') {
+    return Status::InvalidArgument(name + " needs " + expected + ", got '" +
+                                   text + "'" + hint);
+  }
+  if (errno == ERANGE) {
+    return Status::InvalidArgument(name + " value '" + text +
+                                   "' is out of range" + hint);
+  }
+  if (n < min) {
+    return Status::InvalidArgument(name + " needs " + expected + ", got '" +
+                                   text + "'" + hint);
+  }
+  return static_cast<int64_t>(n);
+}
 
 int RunCli(const std::vector<std::string>& args, std::ostream& out,
            std::ostream& err) {

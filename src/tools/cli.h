@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "base/status.h"
+
 namespace xicc {
 namespace tools {
 
@@ -26,6 +28,14 @@ namespace tools {
 /// File arguments use the dtd_parser.h / constraint_parser.h syntaxes.
 int RunCli(const std::vector<std::string>& args, std::ostream& out,
            std::ostream& err);
+
+/// Parses the value `text` of flag `name` as a base-10 integer >= `min` —
+/// the one integer-flag parser of `xicc` and `xiccd`. Rejects empty values,
+/// trailing junk ("10x") and magnitudes beyond int64 (ERANGE). The error
+/// names the flag and the `expected` shape, and points at `program --help`.
+Result<int64_t> ParseIntFlag(const std::string& program,
+                             const std::string& name, const std::string& text,
+                             int64_t min, const std::string& expected);
 
 }  // namespace tools
 }  // namespace xicc

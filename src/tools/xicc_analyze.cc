@@ -42,14 +42,19 @@ int main(int argc, char** argv) {
   bool fix = false;
   bool write_baseline = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--root") == 0 && i + 1 < argc) {
-      root = argv[++i];
-    } else if (std::strcmp(argv[i], "--format") == 0 && i + 1 < argc) {
-      format = argv[++i];
+    std::string* value = std::strcmp(argv[i], "--root") == 0 ? &root
+                         : std::strcmp(argv[i], "--format") == 0 ? &format
+                         : std::strcmp(argv[i], "--baseline") == 0
+                             ? &baseline_path
+                             : nullptr;
+    if (value != nullptr) {
+      if (i + 1 == argc) {
+        std::cerr << argv[i] << " needs a value\n" << kUsage;
+        return 2;
+      }
+      *value = argv[++i];
     } else if (std::strncmp(argv[i], "--format=", 9) == 0) {
       format = argv[i] + 9;
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
     } else if (std::strcmp(argv[i], "--write-baseline") == 0) {
       write_baseline = true;
     } else if (std::strcmp(argv[i], "--fix") == 0) {

@@ -8,12 +8,11 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "net/server.h"
+#include "tools/cli.h"
 
 namespace {
 
@@ -38,29 +37,6 @@ void HandleSignal(int /*sig*/) {
   if (g_server != nullptr) g_server->RequestShutdown();
 }
 
-/// Parses a non-negative integer flag value. Rejects negatives, garbage,
-/// trailing junk, and overflow — a daemon must not "helpfully" reinterpret
-/// a typo'd limit as some other limit.
-bool ParseNonNegative(const std::string& flag, const std::string& text,
-                      int64_t* out) {
-  if (text.empty()) {
-    std::fprintf(stderr, "xiccd: %s needs a value\n%s", flag.c_str(),
-                 kUsage);
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0' || v < 0) {
-    std::fprintf(stderr,
-                 "xiccd: %s needs a non-negative integer, got \"%s\"\n%s",
-                 flag.c_str(), text.c_str(), kUsage);
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -82,7 +58,17 @@ int main(int argc, char** argv) {
                      kUsage);
         return false;
       }
-      return ParseNonNegative(arg, value, out);
+      // A daemon must not "helpfully" reinterpret a typo'd limit as some
+      // other limit: negatives, junk and overflow are all rejected.
+      auto parsed = xicc::tools::ParseIntFlag("xiccd", arg, value, 0,
+                                              "a non-negative integer");
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "xiccd: %s\n",
+                     std::string(parsed.status().message()).c_str());
+        return false;
+      }
+      *out = *parsed;
+      return true;
     };
     int64_t v = 0;
     if (arg == "--help" || arg == "-h") {

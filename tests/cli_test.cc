@@ -6,11 +6,26 @@
 #include <fstream>
 #include <sstream>
 
+#include "constraints/constraint_parser.h"
+#include "core/batch.h"
+#include "core/spec_session.h"
+#include "dtd/dtd_parser.h"
 #include "tools/cli.h"
 
 namespace xicc {
 namespace tools {
 namespace {
+
+// The paper's teachers DTD D1, the fixture every CLI test starts from.
+constexpr char kTeachersDtd[] = R"(
+  <!ELEMENT teachers (teacher+)>
+  <!ELEMENT teacher (teach, research)>
+  <!ELEMENT teach (subject, subject)>
+  <!ELEMENT subject (#PCDATA)>
+  <!ELEMENT research (#PCDATA)>
+  <!ATTLIST teacher name CDATA #REQUIRED>
+  <!ATTLIST subject taught_by CDATA #REQUIRED>
+)";
 
 class CliTest : public ::testing::Test {
  protected:
@@ -21,15 +36,7 @@ class CliTest : public ::testing::Test {
     dtd_path_ = dir_ + ".dtd";
     sigma_path_ = dir_ + ".sigma";
     doc_path_ = dir_ + ".xml";
-    WriteFile(dtd_path_, R"(
-      <!ELEMENT teachers (teacher+)>
-      <!ELEMENT teacher (teach, research)>
-      <!ELEMENT teach (subject, subject)>
-      <!ELEMENT subject (#PCDATA)>
-      <!ELEMENT research (#PCDATA)>
-      <!ATTLIST teacher name CDATA #REQUIRED>
-      <!ATTLIST subject taught_by CDATA #REQUIRED>
-    )");
+    WriteFile(dtd_path_, kTeachersDtd);
   }
 
   void WriteFile(const std::string& path, const std::string& content) {
@@ -210,6 +217,95 @@ TEST_F(CliTest, IdrefsTranslation) {
   EXPECT_EQ(Run({"idrefs", id_dtd}), 0);
   EXPECT_NE(out_.str().find("book.isbn -> book"), std::string::npos);
   EXPECT_NE(out_.str().find("loan.of <= book.isbn"), std::string::npos);
+}
+
+// ------------------------------------------------------- --stats output.
+
+// The line of `text` that starts with `prefix`, or "" when there is none.
+std::string LineStartingWith(const std::string& text,
+                             const std::string& prefix) {
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(prefix, 0) == 0) return line;
+  }
+  return "";
+}
+
+TEST_F(CliTest, CheckStatsPrintsEveryCounterBlock) {
+  WriteFile(sigma_path_,
+            "key teacher(name)\nkey subject(taught_by)\n"
+            "fk subject(taught_by) => teacher(name)\n");
+  EXPECT_EQ(Run({"check", dtd_path_, sigma_path_, "--stats"}), 1);
+  for (const char* prefix : {"stats:      ", "arithmetic: ", "lp kernel:  ",
+                             "session:    compile ", "stages:     setup "}) {
+    EXPECT_NE(LineStartingWith(out_.str(), prefix), "")
+        << prefix << " missing from:\n" << out_.str();
+  }
+  // The case split ran: the counters behind the verdict are not all zero.
+  EXPECT_EQ(LineStartingWith(out_.str(), "stats:      ").find(" 0 lp pivots"),
+            std::string::npos)
+      << out_.str();
+}
+
+// The batch `totals:` line is the sum of the per-item statistics — pinned
+// against a direct CheckBatch over the same queries (one worker, so the
+// counters are deterministic). Only the trailing ilp wall time differs.
+TEST_F(CliTest, BatchStatsTotalsSumTheItemStats) {
+  const std::vector<std::string> blocks = {
+      "key teacher(name)\nfk subject(taught_by) => teacher(name)\n",
+      "key teacher(name)\nkey subject(taught_by)\n"
+      "fk subject(taught_by) => teacher(name)\n",
+      "key teacher(name)\nfk subject(taught_by) => teacher(name)\n",
+      "key subject(taught_by)\n",
+  };
+  std::string queries_text;
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    queries_text += (i == 0 ? "" : "---\n") + blocks[i];
+  }
+  const std::string queries_path = dir_ + ".queries";
+  WriteFile(queries_path, queries_text);
+  EXPECT_EQ(Run({"batch", dtd_path_, queries_path, "--stats", "--threads",
+                 "1"}),
+            1);
+  const std::string totals = LineStartingWith(out_.str(), "totals:     ");
+  ASSERT_NE(totals, "") << out_.str();
+
+  auto dtd = ParseDtd(kTeachersDtd);
+  ASSERT_TRUE(dtd.ok());
+  auto compiled = CompileDtd(*dtd);
+  ASSERT_TRUE(compiled.ok());
+  std::vector<ConstraintSet> queries;
+  for (const std::string& block : blocks) {
+    auto sigma = ParseConstraints(block);
+    ASSERT_TRUE(sigma.ok());
+    queries.push_back(std::move(*sigma));
+  }
+  BatchOptions options;
+  options.num_threads = 1;
+  std::vector<BatchItemResult> results =
+      CheckBatch(*compiled, queries, options);
+  size_t sigma_delta = 0, memo_hits = 0, memo_misses = 0, nodes = 0,
+         pivots = 0, warm = 0, cold = 0;
+  for (const BatchItemResult& item : results) {
+    ASSERT_TRUE(item.status.ok()) << item.status;
+    sigma_delta += item.result.stats.sigma_delta_checks;
+    memo_hits += item.result.stats.memo_hits;
+    memo_misses += item.result.stats.memo_misses;
+    nodes += item.result.stats.ilp_nodes;
+    pivots += item.result.stats.lp_pivots;
+    warm += item.result.stats.warm_starts;
+    cold += item.result.stats.cold_restarts;
+  }
+  EXPECT_GT(memo_hits, 0u);
+  EXPECT_GT(pivots, 0u);
+  std::ostringstream expected;
+  expected << "totals:     " << sigma_delta << " sigma-delta, " << memo_hits
+           << " memo hits, " << memo_misses << " memo misses, " << nodes
+           << " ilp nodes, " << pivots << " lp pivots (" << warm
+           << " warm / " << cold << " cold), ilp ";
+  EXPECT_EQ(totals.substr(0, expected.str().size()), expected.str())
+      << totals;
 }
 
 // ----------------------------------------------- Numeric flag validation.
