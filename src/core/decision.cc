@@ -45,12 +45,15 @@ ConsistencyOptions VerdictOnly(const ConsistencyOptions& base) {
 Status VerifyWitness(const XmlTree& tree, const Dtd& dtd,
                      const CompiledContentModels* models,
                      const ConstraintSet& sigma) {
-  ValidationReport validation = ValidateXml(tree, dtd, models, {});
+  DtdChecker on_dtd(dtd, models);
+  ConstraintChecker on_sigma(sigma);
+  WalkTree(tree, {&on_dtd, &on_sigma});
+  ValidationReport validation = on_dtd.Finish();
   if (!validation.valid) {
     return Status::Internal("witness fails DTD validation:\n" +
                             validation.ToString());
   }
-  EvaluationReport evaluation = Evaluate(tree, sigma);
+  EvaluationReport evaluation = on_sigma.Finish();
   if (!evaluation.satisfied) {
     return Status::Internal("witness fails constraint evaluation:\n" +
                             evaluation.ToString());
@@ -120,18 +123,21 @@ Status VerifyCounterexample(const XmlTree& tree, const Dtd& dtd,
                             const CompiledContentModels* models,
                             const ConstraintSet& sigma,
                             const Constraint& phi) {
-  ValidationReport validation = ValidateXml(tree, dtd, models, {});
+  DtdChecker on_dtd(dtd, models);
+  ConstraintChecker on_sigma(sigma);
+  ConstraintChecker on_phi(phi);
+  WalkTree(tree, {&on_dtd, &on_sigma, &on_phi});
+  ValidationReport validation = on_dtd.Finish();
   if (!validation.valid) {
     return Status::Internal("counterexample fails DTD validation:\n" +
                             validation.ToString());
   }
-  EvaluationReport on_sigma = Evaluate(tree, sigma);
-  if (!on_sigma.satisfied) {
+  EvaluationReport sigma_report = on_sigma.Finish();
+  if (!sigma_report.satisfied) {
     return Status::Internal("counterexample violates Σ:\n" +
-                            on_sigma.ToString());
+                            sigma_report.ToString());
   }
-  EvaluationReport on_phi = Evaluate(tree, phi);
-  if (on_phi.satisfied) {
+  if (on_phi.Finish().satisfied) {
     return Status::Internal("counterexample satisfies φ = " + phi.ToString());
   }
   return Status::Ok();

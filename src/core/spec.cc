@@ -35,8 +35,11 @@ Result<ImplicationResult> XmlSpec::Implies(
 
 XmlSpec::DocumentReport XmlSpec::CheckDocument(const XmlTree& tree) const {
   DocumentReport report;
-  ValidationReport validation = ValidateXml(tree, dtd);
-  EvaluationReport evaluation = Evaluate(tree, constraints);
+  DtdChecker on_dtd(dtd);
+  ConstraintChecker on_sigma(constraints);
+  WalkTree(tree, {&on_dtd, &on_sigma});
+  ValidationReport validation = on_dtd.Finish();
+  EvaluationReport evaluation = on_sigma.Finish();
   report.conforms = validation.valid && evaluation.satisfied;
   if (report.conforms) {
     report.details = "document conforms to the DTD and satisfies Σ";

@@ -1,43 +1,8 @@
 #include "core/streaming_validator.h"
 
-#include <optional>
-
 #include "base/strings.h"
 
 namespace xicc {
-
-namespace {
-
-std::string RenderTuple(const std::vector<std::string>& tuple) {
-  std::string out = "(";
-  for (size_t i = 0; i < tuple.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += "\"" + tuple[i] + "\"";
-  }
-  return out + ")";
-}
-
-/// x[X] from the start-tag attributes; nullopt if any attribute is missing.
-std::optional<std::vector<std::string>> TupleOf(
-    const std::vector<std::pair<std::string, std::string>>& attrs,
-    const std::vector<std::string>& wanted) {
-  std::vector<std::string> tuple;
-  tuple.reserve(wanted.size());
-  for (const std::string& name : wanted) {
-    bool found = false;
-    for (const auto& [attr, value] : attrs) {
-      if (attr == name) {
-        tuple.push_back(value);
-        found = true;
-        break;
-      }
-    }
-    if (!found) return std::nullopt;
-  }
-  return tuple;
-}
-
-}  // namespace
 
 std::string StreamingValidator::Summary::ToString() const {
   if (conforms) return "conforms";
@@ -46,212 +11,40 @@ std::string StreamingValidator::Summary::ToString() const {
 
 StreamingValidator::StreamingValidator(const Dtd* dtd,
                                        const ConstraintSet* sigma)
-    : dtd_(dtd), normalized_(sigma->Normalize()) {
-  for (const Constraint& c : normalized_.constraints()) {
-    switch (c.kind) {
-      case ConstraintKind::kKey:
-      case ConstraintKind::kNegKey:
-        keys_by_type_[c.type1].push_back(keys_.size());
-        keys_.push_back({c, {}, false});
-        break;
-      case ConstraintKind::kInclusion:
-      case ConstraintKind::kNegInclusion:
-        inclusions_by_type_[c.type1].emplace_back(inclusions_.size(), 0);
-        inclusions_by_type_[c.type2].emplace_back(inclusions_.size(), 1);
-        inclusions_.push_back({c, {}, {}});
-        break;
-      case ConstraintKind::kForeignKey:
-        break;  // Normalize() removed these.
-    }
-  }
-}
-
-void StreamingValidator::Problem(const std::string& message) {
-  summary_.conforms = false;
-  summary_.problems.push_back(message);
-}
-
-ContentModelMatcher* StreamingValidator::MatcherFor(const std::string& type) {
-  auto it = matchers_.find(type);
-  if (it == matchers_.end()) {
-    it = matchers_.emplace(type, ContentModelMatcher(dtd_->ContentOf(type)))
-             .first;
-  }
-  return &it->second;
-}
-
-void StreamingValidator::FeedChild(const std::string& symbol) {
-  if (stack_.empty()) return;
-  OpenElement& parent = stack_.back();
-  parent.had_children = true;
-  if (!parent.tracked ||
-      parent.match_state == ContentModelMatcher::kDeadState) {
-    return;
-  }
-  int next = MatcherFor(parent.type)->Step(parent.match_state, symbol);
-  if (next == ContentModelMatcher::kDeadState) {
-    Problem("children of '" + parent.type + "' leave L(" +
-            dtd_->ContentOf(parent.type)->ToString() + ") at '" + symbol +
-            "'");
-  }
-  parent.match_state = next;
-}
-
-void StreamingValidator::RecordTuples(
-    const std::string& type,
-    const std::vector<std::pair<std::string, std::string>>& attrs) {
-  auto keys = keys_by_type_.find(type);
-  if (keys != keys_by_type_.end()) {
-    for (size_t index : keys->second) {
-      KeyState& state = keys_[index];
-      auto tuple = TupleOf(attrs, state.constraint.attrs1);
-      if (!tuple.has_value()) {
-        Problem("element '" + type + "' lacks an attribute referenced by " +
-                state.constraint.ToString());
-        continue;
-      }
-      bool fresh = state.seen.insert(*tuple).second;
-      if (!fresh) {
-        state.duplicate_seen = true;
-        if (state.constraint.kind == ConstraintKind::kKey) {
-          Problem("two '" + type + "' elements share key value " +
-                  RenderTuple(*tuple));
-        }
-      }
-    }
-  }
-  auto inclusions = inclusions_by_type_.find(type);
-  if (inclusions != inclusions_by_type_.end()) {
-    for (const auto& [index, side] : inclusions->second) {
-      InclusionState& state = inclusions_[index];
-      const auto& wanted = side == 0 ? state.constraint.attrs1
-                                     : state.constraint.attrs2;
-      auto tuple = TupleOf(attrs, wanted);
-      if (!tuple.has_value()) {
-        if (side == 0) {
-          Problem("element '" + type + "' lacks an attribute referenced by " +
-                  state.constraint.ToString());
-        }
-        continue;
-      }
-      (side == 0 ? state.left : state.right).insert(std::move(*tuple));
-    }
-  }
-}
+    : dtd_(*dtd), sigma_(*sigma) {}
 
 Status StreamingValidator::StartElement(
     const std::string& name,
     const std::vector<std::pair<std::string, std::string>>& attrs) {
-  ++summary_.elements_seen;
-  if (stack_.empty()) {
-    if (root_seen_) {
-      Problem("multiple root elements");
-    } else if (name != dtd_->root()) {
-      Problem("root is <" + name + ">, DTD requires <" + dtd_->root() + ">");
-    }
-    root_seen_ = true;
-  } else {
-    FeedChild(name);
-  }
-
-  bool tracked = dtd_->HasElement(name);
-  if (!tracked) {
-    Problem("element type '" + name + "' is not declared in the DTD");
-  } else {
-    // Exactly the declared attribute set.
-    for (const std::string& required : dtd_->AttributesOf(name)) {
-      bool present = false;
-      for (const auto& [attr, value] : attrs) {
-        if (attr == required) {
-          present = true;
-          break;
-        }
-      }
-      if (!present) {
-        Problem("element '" + name + "' is missing required attribute '" +
-                required + "'");
-      }
-    }
-    for (const auto& [attr, value] : attrs) {
-      if (!dtd_->HasAttribute(name, attr)) {
-        Problem("element '" + name + "' carries undeclared attribute '" +
-                attr + "'");
-      }
-    }
-    RecordTuples(name, attrs);
-  }
-  stack_.push_back(
-      {name, ContentModelMatcher::kStartState, tracked, false});
+  NodeId node = static_cast<NodeId>(elements_seen_++);
+  dtd_.OnStart(node, name, attrs);
+  sigma_.OnStart(node, name, attrs);
   return Status::Ok();
 }
 
-Status StreamingValidator::Text(const std::string& value) {
-  (void)value;
-  FeedChild("S");
+Status StreamingValidator::Text(const std::string& /*value*/) {
+  dtd_.OnText();
   return Status::Ok();
 }
 
-Status StreamingValidator::EndElement(const std::string& name) {
-  if (stack_.empty()) return Status::Ok();  // Defensive; parser balances.
-  OpenElement open = stack_.back();
-  stack_.pop_back();
-  if (!open.tracked) return Status::Ok();
-  ContentModelMatcher* matcher = MatcherFor(open.type);
-  bool accepted = open.match_state != ContentModelMatcher::kDeadState &&
-                  matcher->AcceptsAt(open.match_state);
-  if (!accepted && !open.had_children) {
-    // Parsers drop empty text: an element whose model is exactly one text
-    // node may legitimately arrive childless (ValidateOptions'
-    // implicit_empty_text, mirrored here).
-    int with_text =
-        matcher->Step(ContentModelMatcher::kStartState, "S");
-    accepted = matcher->AcceptsAt(with_text);
-  }
-  if (!accepted &&
-      open.match_state != ContentModelMatcher::kDeadState) {
-    Problem("children of '" + open.type + "' stop short of L(" +
-            dtd_->ContentOf(open.type)->ToString() + ")");
-  }
-  (void)name;
+Status StreamingValidator::EndElement(const std::string& /*name*/) {
+  dtd_.OnEnd();
   return Status::Ok();
 }
 
 StreamingValidator::Summary StreamingValidator::Finish() {
-  if (!root_seen_) Problem("document has no root element");
-
-  for (const KeyState& state : keys_) {
-    if (state.constraint.kind == ConstraintKind::kNegKey &&
-        !state.duplicate_seen) {
-      Problem("no two '" + state.constraint.type1 +
-              "' elements share a value; " + state.constraint.ToString() +
-              " requires a clash");
-    }
+  Summary summary;
+  summary.elements_seen = elements_seen_;
+  ValidationReport validation = dtd_.Finish();
+  EvaluationReport evaluation = sigma_.Finish();
+  summary.conforms = validation.valid && evaluation.satisfied;
+  for (const DtdViolation& v : validation.violations) {
+    summary.problems.push_back(v.message);
   }
-  for (const InclusionState& state : inclusions_) {
-    if (state.constraint.kind == ConstraintKind::kInclusion) {
-      for (const auto& tuple : state.left) {
-        if (state.right.count(tuple) == 0) {
-          Problem("value " + RenderTuple(tuple) + " of '" +
-                  state.constraint.type1 + "' has no matching '" +
-                  state.constraint.type2 + "' element");
-        }
-      }
-    } else {  // kNegInclusion: some left tuple must dangle.
-      bool dangling = false;
-      for (const auto& tuple : state.left) {
-        if (state.right.count(tuple) == 0) {
-          dangling = true;
-          break;
-        }
-      }
-      if (!dangling) {
-        Problem("every '" + state.constraint.type1 + "' value occurs among '" +
-                state.constraint.type2 + "'; " +
-                state.constraint.ToString() + " requires a dangling value");
-      }
-    }
+  for (const ConstraintViolation& v : evaluation.violations) {
+    summary.problems.push_back(v.message);
   }
-  return summary_;
+  return summary;
 }
 
 Result<StreamingValidator::Summary> ValidateStream(

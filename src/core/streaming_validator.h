@@ -1,22 +1,21 @@
 #pragma once
 
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "constraints/constraint.h"
+#include "constraints/evaluator.h"
 #include "dtd/dtd.h"
-#include "dtd/glushkov.h"
+#include "dtd/validator.h"
 #include "xml/event_parser.h"
 
 namespace xicc {
 
 /// Single-pass validation of a document against a DTD and a constraint set,
-/// without materializing the tree: content models run stepwise through the
-/// Glushkov automaton on a stack of open elements, and constraints
-/// accumulate only the attribute tuples they mention. Memory is O(open
-/// depth + constrained values) instead of O(document).
+/// without materializing the tree: parser events feed the same DtdChecker
+/// and ConstraintChecker that ValidateXml and Evaluate walk a tree into, so
+/// both paths report the same problems. Memory is O(open depth +
+/// constrained tuples) instead of O(document).
 ///
 /// Works for *every* constraint class, including the statically undecidable
 /// multi-attribute C_{K,FK} — checking a given document is the easy
@@ -32,11 +31,12 @@ class StreamingValidator : public XmlEventHandler {
   };
 
   /// `dtd` and `sigma` must outlive the validator. `sigma` may contain any
-  /// constraint forms; foreign keys are expanded internally.
+  /// constraint forms.
   StreamingValidator(const Dtd* dtd, const ConstraintSet* sigma);
 
   // XmlEventHandler: these never return errors — problems are collected so
-  // one pass reports everything, matching ValidateXml/Evaluate behaviour.
+  // one pass reports everything. Elements are numbered 0, 1, … in document
+  // order; that number is the node a violation names.
   Status StartElement(
       const std::string& name,
       const std::vector<std::pair<std::string, std::string>>& attrs) override;
@@ -48,48 +48,9 @@ class StreamingValidator : public XmlEventHandler {
   Summary Finish();
 
  private:
-  struct OpenElement {
-    std::string type;
-    int match_state;
-    bool tracked;       // False for undeclared types (content not checked).
-    bool had_children;  // Any element/text child consumed.
-  };
-
-  /// Per-constraint accumulated state.
-  struct KeyState {
-    Constraint constraint;
-    std::set<std::vector<std::string>> seen;
-    bool duplicate_seen = false;
-  };
-  struct InclusionState {
-    Constraint constraint;
-    std::set<std::vector<std::string>> left;
-    std::set<std::vector<std::string>> right;
-  };
-
-  void Problem(const std::string& message);
-  ContentModelMatcher* MatcherFor(const std::string& type);
-  void FeedChild(const std::string& symbol);
-  /// Extracts the constraint-relevant tuples of this element.
-  void RecordTuples(const std::string& type,
-                    const std::vector<std::pair<std::string, std::string>>&
-                        attrs);
-
-  const Dtd* dtd_;
-  ConstraintSet normalized_;
-  std::map<std::string, ContentModelMatcher> matchers_;
-  std::vector<OpenElement> stack_;
-  bool root_seen_ = false;
-
-  // Indexes from element type to the states interested in it.
-  std::vector<KeyState> keys_;        // kKey and kNegKey.
-  std::vector<InclusionState> inclusions_;  // kInclusion and kNegInclusion.
-  std::map<std::string, std::vector<size_t>> keys_by_type_;
-  // (inclusion index, side): side 0 = left/type1, 1 = right/type2.
-  std::map<std::string, std::vector<std::pair<size_t, int>>>
-      inclusions_by_type_;
-
-  Summary summary_;
+  DtdChecker dtd_;
+  ConstraintChecker sigma_;
+  size_t elements_seen_ = 0;
 };
 
 /// Convenience: parse + validate in one pass.

@@ -1,10 +1,9 @@
 #include "dtd/validator.h"
 
-#include <map>
+#include <algorithm>
 
 #include "base/strings.h"
 #include "dtd/compiled.h"
-#include "dtd/glushkov.h"
 
 namespace xicc {
 
@@ -18,78 +17,105 @@ std::string ValidationReport::ToString() const {
   return Join(lines, "\n");
 }
 
-ValidationReport ValidateXml(const XmlTree& tree, const Dtd& dtd,
-                             const ValidateOptions& options) {
-  return ValidateXml(tree, dtd, /*models=*/nullptr, options);
+DtdChecker::DtdChecker(const Dtd& dtd, const CompiledContentModels* models)
+    : dtd_(dtd), models_(models) {}
+
+void DtdChecker::Add(NodeId node, std::string message) {
+  report_.valid = false;
+  report_.violations.push_back({node, std::move(message)});
+}
+
+const ContentModelMatcher& DtdChecker::MatcherFor(const std::string& type) {
+  if (models_ != nullptr) {
+    const ContentModelMatcher* compiled = models_->MatcherFor(type);
+    if (compiled != nullptr) return *compiled;
+  }
+  auto it = own_.find(type);
+  if (it == own_.end()) {
+    it = own_.emplace(type, ContentModelMatcher(dtd_.ContentOf(type))).first;
+  }
+  return it->second;
+}
+
+void DtdChecker::FeedChild(const std::string& symbol) {
+  OpenElement& parent = open_.back();
+  parent.had_children = true;
+  if (parent.matcher == nullptr ||
+      parent.state == ContentModelMatcher::kDeadState) {
+    return;
+  }
+  parent.state = parent.matcher->Step(parent.state, symbol);
+  if (parent.state == ContentModelMatcher::kDeadState) {
+    Add(parent.node, "children of '" + parent.type + "' leave L(" +
+                         dtd_.ContentOf(parent.type)->ToString() + ") at '" +
+                         symbol + "'");
+  }
+}
+
+void DtdChecker::OnStart(NodeId node, const std::string& type,
+                         const Attributes& attrs) {
+  if (open_.empty()) {
+    if (type != dtd_.root()) {
+      Add(node, "root is <" + type + ">, DTD requires <" + dtd_.root() + ">");
+    }
+  } else {
+    FeedChild(type);
+  }
+  const ContentModelMatcher* matcher =
+      dtd_.HasElement(type) ? &MatcherFor(type) : nullptr;
+  open_.push_back(
+      {node, type, matcher, ContentModelMatcher::kStartState, false});
+  if (matcher == nullptr) {
+    Add(node, "element type '" + type + "' is not declared in the DTD");
+    return;
+  }
+  // Exactly R(τ); single-valuedness is the parser's and the tree's job.
+  const std::vector<std::string>& declared = dtd_.AttributesOf(type);
+  for (const std::string& required : declared) {
+    bool present = std::any_of(
+        attrs.begin(), attrs.end(),
+        [&](const auto& attr) { return attr.first == required; });
+    if (!present) {
+      Add(node, "element '" + type + "' is missing required attribute '" +
+                    required + "'");
+    }
+  }
+  for (const auto& [name, value] : attrs) {
+    if (!std::binary_search(declared.begin(), declared.end(), name)) {
+      Add(node, "element '" + type + "' carries undeclared attribute '" +
+                    name + "'");
+    }
+  }
+}
+
+void DtdChecker::OnText() { FeedChild("S"); }
+
+void DtdChecker::OnEnd() {
+  OpenElement open = std::move(open_.back());
+  open_.pop_back();
+  if (open.matcher == nullptr ||
+      open.state == ContentModelMatcher::kDeadState) {
+    return;
+  }
+  const ContentModelMatcher& matcher = *open.matcher;
+  bool accepted = matcher.AcceptsAt(open.state);
+  if (!accepted && !open.had_children) {
+    // Parsers drop empty text: an element whose model is exactly one text
+    // node may legitimately arrive childless.
+    accepted = matcher.AcceptsAt(
+        matcher.Step(ContentModelMatcher::kStartState, "S"));
+  }
+  if (!accepted) {
+    Add(open.node, "children of '" + open.type + "' stop short of L(" +
+                       dtd_.ContentOf(open.type)->ToString() + ")");
+  }
 }
 
 ValidationReport ValidateXml(const XmlTree& tree, const Dtd& dtd,
-                             const CompiledContentModels* models,
-                             const ValidateOptions& options) {
-  ValidationReport report;
-  auto add = [&](NodeId node, std::string message) {
-    report.valid = false;
-    report.violations.push_back({node, std::move(message)});
-  };
-
-  if (tree.label(tree.root()) != dtd.root()) {
-    add(tree.root(), "root is <" + tree.label(tree.root()) +
-                         ">, DTD requires <" + dtd.root() + ">");
-  }
-
-  // One matcher per element type: the caller's frozen DFA when compiled,
-  // a call-private lazy matcher otherwise.
-  std::map<std::string, ContentModelMatcher> matchers;
-  auto matcher_for = [&](const std::string& type) -> const ContentModelMatcher& {
-    if (models != nullptr) {
-      const ContentModelMatcher* compiled = models->MatcherFor(type);
-      if (compiled != nullptr) return *compiled;
-    }
-    auto it = matchers.find(type);
-    if (it == matchers.end()) {
-      it = matchers.emplace(type, ContentModelMatcher(dtd.ContentOf(type)))
-               .first;
-    }
-    return it->second;
-  };
-
-  for (NodeId node = 0; node < tree.size(); ++node) {
-    if (!tree.IsElement(node)) continue;
-    const std::string& type = tree.label(node);
-    if (!dtd.HasElement(type)) {
-      add(node, "element type '" + type + "' is not declared in the DTD");
-      continue;
-    }
-
-    // Content model check.
-    std::vector<std::string> word = tree.ChildLabelWord(node);
-    const ContentModelMatcher& matcher = matcher_for(type);
-    bool matches = matcher.Matches(word);
-    if (!matches && options.implicit_empty_text && word.empty()) {
-      matches = matcher.Matches({"S"});
-    }
-    if (!matches) {
-      std::string rendered = word.empty() ? "(empty)" : Join(word, " ");
-      add(node, "children of '" + type + "' are [" + rendered +
-                    "], not in L(" + dtd.ContentOf(type)->ToString() + ")");
-    }
-
-    // Attribute check: exactly R(τ), each single-valued (guaranteed by the
-    // tree representation).
-    for (const std::string& required : dtd.AttributesOf(type)) {
-      if (!tree.AttributeValue(node, required).has_value()) {
-        add(node, "element '" + type + "' is missing required attribute '" +
-                      required + "'");
-      }
-    }
-    for (const auto& [name, value] : tree.attributes(node)) {
-      if (!dtd.HasAttribute(type, name)) {
-        add(node, "element '" + type + "' carries undeclared attribute '" +
-                      name + "'");
-      }
-    }
-  }
-  return report;
+                             const CompiledContentModels* models) {
+  DtdChecker checker(dtd, models);
+  WalkTree(tree, {&checker});
+  return checker.Finish();
 }
 
 }  // namespace xicc

@@ -92,4 +92,33 @@ std::vector<std::string> XmlTree::ChildLabelWord(NodeId node) const {
   return word;
 }
 
+void WalkTree(const XmlTree& tree,
+              std::initializer_list<ElementEventSink*> sinks) {
+  auto start = [&](NodeId node) {
+    for (ElementEventSink* sink : sinks) {
+      sink->OnStart(node, tree.label(node), tree.attributes(node));
+    }
+  };
+  // Open elements, each with the index of its next child to visit.
+  std::vector<std::pair<NodeId, size_t>> open;
+  start(tree.root());
+  open.emplace_back(tree.root(), 0);
+  while (!open.empty()) {
+    auto& [node, next] = open.back();
+    const std::vector<NodeId>& children = tree.children(node);
+    if (next == children.size()) {
+      for (ElementEventSink* sink : sinks) sink->OnEnd();
+      open.pop_back();
+      continue;
+    }
+    NodeId child = children[next++];
+    if (!tree.IsElement(child)) {
+      for (ElementEventSink* sink : sinks) sink->OnText();
+      continue;
+    }
+    start(child);
+    open.emplace_back(child, 0);
+  }
+}
+
 }  // namespace xicc

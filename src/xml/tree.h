@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -96,5 +97,30 @@ class XmlTree {
 
   std::vector<Node> nodes_;
 };
+
+/// A document as element events in document order — what both a tree walk
+/// (WalkTree) and the streaming parser deliver, so each document rule
+/// (dtd/validator's DtdChecker, constraints/evaluator's ConstraintChecker)
+/// is written once, against this interface.
+class ElementEventSink {
+ public:
+  using Attributes = std::vector<std::pair<std::string, std::string>>;
+
+  virtual ~ElementEventSink() = default;
+
+  /// Start of element `node` (the id reports name it by) of type `type`.
+  virtual void OnStart(NodeId node, const std::string& type,
+                       const Attributes& attrs) = 0;
+  /// A text child of the innermost open element.
+  virtual void OnText() {}
+  /// End of the innermost open element.
+  virtual void OnEnd() {}
+};
+
+/// Feeds `tree` to every sink, one event at a time, in preorder. The walk
+/// keeps an explicit stack, so tree depth is bounded by memory, not by the
+/// C++ stack.
+void WalkTree(const XmlTree& tree,
+              std::initializer_list<ElementEventSink*> sinks);
 
 }  // namespace xicc

@@ -134,6 +134,29 @@ TEST_F(CliTest, ValidateDocument) {
   EXPECT_NE(out_.str().find("DTD violations"), std::string::npos);
 }
 
+TEST_F(CliTest, ValidateDocumentWithAndWithoutStream) {
+  WriteFile(sigma_path_, "key teacher(name)\nkey subject(taught_by)\n");
+  const std::string conforming =
+      "<teachers><teacher name='a'><teach>"
+      "<subject taught_by='x'>s</subject><subject taught_by='y'>s</subject>"
+      "</teach><research>r</research></teacher></teachers>";
+  const std::string violating =  // Clashing subject keys.
+      "<teachers><teacher name='a'><teach>"
+      "<subject taught_by='x'>s</subject><subject taught_by='x'>s</subject>"
+      "</teach><research>r</research></teacher></teachers>";
+  for (bool stream : {false, true}) {
+    std::vector<std::string> args = {"validate", dtd_path_, sigma_path_,
+                                     doc_path_};
+    if (stream) args.push_back("--stream");
+    WriteFile(doc_path_, conforming);
+    EXPECT_EQ(Run(args), 0) << "stream=" << stream << "\n" << out_.str();
+    WriteFile(doc_path_, violating);
+    EXPECT_EQ(Run(args), 1) << "stream=" << stream;
+    EXPECT_NE(out_.str().find("share key value"), std::string::npos)
+        << out_.str();
+  }
+}
+
 TEST_F(CliTest, WitnessWithMinimumSize) {
   WriteFile(sigma_path_, "key teacher(name)\n");
   EXPECT_EQ(Run({"witness", dtd_path_, sigma_path_, "--min-nodes", "15"}),

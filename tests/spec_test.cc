@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "constraints/evaluator.h"
 #include "core/spec.h"
+#include "dtd/validator.h"
 #include "xml/parser.h"
 
 namespace xicc {
@@ -149,6 +151,35 @@ TEST(SpecTest, MultiAttributeSpecsCanStillValidateDocuments) {
     </school>)");
   ASSERT_TRUE(dangling.ok());
   EXPECT_FALSE(spec->CheckDocument(*dangling).conforms);
+}
+
+TEST(SpecTest, DeepChainChecksWithoutRecursion) {
+  // Witness trees are not bounded by the parser's depth limit: a 100 000
+  // deep chain must check without exhausting the C++ stack.
+  auto spec = XmlSpec::Parse(R"(
+    <!ELEMENT r (a)>
+    <!ELEMENT a (a?)>
+    <!ATTLIST a id CDATA #REQUIRED>
+  )", "key a(id)\n");
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  XmlTree tree("r");
+  NodeId deepest = tree.root();
+  for (int i = 0; i < 100000; ++i) {
+    deepest = tree.AddElement(deepest, "a");
+    tree.SetAttribute(deepest, "id", std::to_string(i));
+  }
+  EXPECT_TRUE(ValidateXml(tree, spec->dtd).valid);
+  EXPECT_TRUE(Evaluate(tree, spec->constraints).satisfied);
+  EXPECT_TRUE(spec->CheckDocument(tree).conforms);
+
+  tree.SetAttribute(deepest, "id", "0");  // Clashes with the top a.
+  EXPECT_TRUE(ValidateXml(tree, spec->dtd).valid);
+  EXPECT_FALSE(Evaluate(tree, spec->constraints).satisfied);
+  EXPECT_FALSE(spec->CheckDocument(tree).conforms);
+
+  tree.AddElement(deepest, "b");  // Undeclared, at the bottom.
+  EXPECT_FALSE(ValidateXml(tree, spec->dtd).valid);
+  EXPECT_FALSE(spec->CheckDocument(tree).conforms);
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
+#include "dtd/compiled.h"
 #include "dtd/validator.h"
 #include "xml/parser.h"
 #include "workloads/paper_examples.h"
@@ -111,10 +115,6 @@ TEST(ValidatorTest, ImplicitEmptyTextOption) {
       </teacher>
     </teachers>)");
   EXPECT_TRUE(ValidateXml(tree, workloads::TeacherDtd()).valid);
-
-  ValidateOptions strict;
-  strict.implicit_empty_text = false;
-  EXPECT_FALSE(ValidateXml(tree, workloads::TeacherDtd(), strict).valid);
 }
 
 TEST(ValidatorTest, SchoolDocumentWithStars) {
@@ -153,6 +153,48 @@ TEST(ValidatorTest, CollectsMultipleViolations) {
   EXPECT_FALSE(report.valid);
   // Missing name + teach content model.
   EXPECT_GE(report.violations.size(), 2u);
+}
+
+TEST(ValidatorTest, SharedCompiledModelsAcrossThreads) {
+  // One set of frozen DFAs, read by eight concurrent checkers: every report
+  // must equal the plain (private lazy matcher) path's.
+  Dtd dtd = workloads::TeacherDtd();
+  const CompiledContentModels models = CompiledContentModels::Build(dtd);
+  const std::vector<XmlTree> trees = {
+      MustParse("<teachers><teacher name='a'><teach>"
+                "<subject taught_by='a'>x</subject>"
+                "<subject taught_by='a'>y</subject></teach>"
+                "<research/></teacher></teachers>"),
+      MustParse("<teachers><teacher name='a'><teach>"
+                "<subject taught_by='a'>x</subject></teach>"
+                "<research>r</research></teacher></teachers>"),
+      MustParse("<teachers><teacher><research>r</research><teach/>"
+                "</teacher></teachers>"),
+      MustParse("<teachers><intruder/></teachers>"),
+      MustParse("<teacher name='a'/>"),
+  };
+  std::vector<std::string> expected;
+  for (const XmlTree& tree : trees) {
+    expected.push_back(ValidateXml(tree, dtd).ToString());
+  }
+  EXPECT_EQ(expected[0], "valid");
+  EXPECT_NE(expected[1], "valid");
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < 25; ++round) {
+        for (size_t i = 0; i < trees.size(); ++i) {
+          if (ValidateXml(trees[i], dtd, &models).ToString() != expected[i]) {
+            ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace
