@@ -1,7 +1,5 @@
 #include "tools/cli.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -20,6 +18,7 @@
 #include "core/streaming_validator.h"
 #include "dtd/dtd_parser.h"
 #include "dtd/simplify.h"
+#include "tools/flags.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
@@ -32,43 +31,10 @@ constexpr int kOk = 0;
 constexpr int kNegative = 1;
 constexpr int kError = 2;
 
-constexpr const char* kUsage = R"(usage: xicc <command> ...
-
-  check    <dtd> <constraints> [--witness FILE] [--min-nodes N] [--big-m]
-           [--stats] [--timeout-ms N] [--cancel-after N]
-           [--artifact-cache DIR]
-           Is the specification consistent? (exit 0 yes / 1 no)
-  batch    <dtd> <queries> [--threads N] [--chunk N] [--big-m] [--stats]
-           [--timeout-ms N] [--cancel-after N] [--artifact-cache DIR]
-           Answer many consistency queries against one compiled DTD.
-           <queries> holds constraint blocks separated by lines of `---`;
-           the DTD is compiled once and shared by all worker sessions.
-  compile  <dtd> [--artifact-cache DIR] [--out FILE]
-           Compile the DTD into a persistent artifact (grammar facts,
-           frozen DFAs, minimal-tree plan, LP skeleton + warm-start basis)
-           and store it in the cache directory and/or an explicit file.
-           Later check/batch runs with --artifact-cache DIR warm-start
-           from the artifact instead of recompiling.
-  implies  <dtd> <constraints> <phi> [--counterexample FILE]
-           Does the specification imply the constraint <phi>?
-  validate <dtd> <constraints> <document.xml> [--stream]
-           Check a concrete document against DTD and constraints
-           (--stream: single pass, no tree materialized).
-  witness  <dtd> <constraints> [--min-nodes N]
-           Print an example document satisfying the specification.
-  classify <dtd> <constraints>
-           Report the Figure-5 constraint class and decidability.
-  simplify <dtd>
-           Print the Section 4.1 simplified DTD.
-  encode   <dtd> <constraints>
-           Print the Ψ(D,Σ) cardinality system (Theorem 4.1).
-  closure  <dtd> <constraints> [--no-inclusions]
-           List implied-but-unstated unary keys/inclusions and redundant
-           constraints.
-  equiv    <dtd> <constraints1> <constraints2>
-           Are two constraint sets equivalent over the DTD? (exit 0/1)
-  idrefs   <dtd>
-           Translate ID/IDREF attribute declarations into constraints.
+// The prose under the command list; each command's synopsis and flag list
+// are rendered from its flag table.
+constexpr const char* kNotes = R"(
+Run `xicc <command> --help` for a command's flags.
 
 Constraint syntax (one per line):
   key teacher(name)
@@ -117,89 +83,50 @@ Status WriteFile(const std::string& path, const std::string& content) {
   return Status::Ok();
 }
 
-/// Positional / flag splitter: flags may carry one value.
-struct ParsedArgs {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> flags;  // --name -> value ("" if bare).
-};
-
-Result<ParsedArgs> ParseArgs(const std::vector<std::string>& args,
-                             size_t from,
-                             const std::map<std::string, bool>& known_flags) {
-  ParsedArgs out;
-  for (size_t i = from; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (arg.rfind("--", 0) != 0) {
-      out.positional.push_back(arg);
-      continue;
-    }
-    auto it = known_flags.find(arg);
-    if (it == known_flags.end()) {
-      return Status::InvalidArgument("unknown flag '" + arg + "'");
-    }
-    if (it->second) {  // Takes a value.
-      if (i + 1 >= args.size()) {
-        return Status::InvalidArgument("flag '" + arg + "' needs a value");
-      }
-      out.flags[arg] = args[++i];
-    } else {
-      out.flags[arg] = "";
-    }
-  }
-  return out;
-}
-
-Result<XmlSpec> LoadSpec(const std::string& dtd_path,
-                         const std::string& constraints_path) {
-  XICC_ASSIGN_OR_RETURN(std::string dtd_text, ReadFile(dtd_path));
-  XICC_ASSIGN_OR_RETURN(std::string sigma_text, ReadFile(constraints_path));
+/// The spec named by the first two positionals, <dtd> <constraints>.
+Result<XmlSpec> LoadSpec(const std::vector<std::string>& paths) {
+  XICC_ASSIGN_OR_RETURN(std::string dtd_text, ReadFile(paths[0]));
+  XICC_ASSIGN_OR_RETURN(std::string sigma_text, ReadFile(paths[1]));
   return XmlSpec::Parse(dtd_text, sigma_text);
 }
 
-/// Parses an optional positive-integer flag; 0 means "not given".
-Result<int64_t> PositiveMsFlag(const ParsedArgs& parsed,
-                               const std::string& name) {
-  auto it = parsed.flags.find(name);
-  if (it == parsed.flags.end()) return int64_t{0};
-  return ParseIntFlag("xicc", name, it->second, 1, "a positive integer (ms)");
+Result<Dtd> LoadDtd(const std::string& path) {
+  XICC_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+  return ParseDtd(text);
 }
 
 /// The --timeout-ms / --cancel-after plumbing shared by check and batch:
 /// owns the cancel token and its timer so the StopSignal pointers given to
 /// the solver stack stay valid for the command's whole run.
 struct StopPlumbing {
+  explicit StopPlumbing(const FlagValues& flags)
+      : timeout_ms(flags.Int("--timeout-ms")),
+        cancel_after_ms(flags.Int("--cancel-after")) {
+    if (cancel_after_ms > 0) timer.emplace(&token, cancel_after_ms);
+  }
+
   CancelToken token;
   std::optional<CancelTimer> timer;  // Armed iff --cancel-after was given.
   int64_t timeout_ms = 0;
   int64_t cancel_after_ms = 0;
-
-  Status Arm(const ParsedArgs& parsed) {
-    XICC_ASSIGN_OR_RETURN(timeout_ms, PositiveMsFlag(parsed, "--timeout-ms"));
-    XICC_ASSIGN_OR_RETURN(cancel_after_ms,
-                          PositiveMsFlag(parsed, "--cancel-after"));
-    if (cancel_after_ms > 0) timer.emplace(&token, cancel_after_ms);
-    return Status::Ok();
-  }
 };
 
-Result<ConsistencyOptions> OptionsFromFlags(const ParsedArgs& parsed) {
+ConsistencyOptions OptionsFromFlags(const FlagValues& flags) {
   ConsistencyOptions options;
-  if (parsed.flags.count("--big-m")) {
-    options.strategy = SolveStrategy::kBigM;
-  }
-  auto it = parsed.flags.find("--min-nodes");
-  if (it != parsed.flags.end()) {
-    XICC_ASSIGN_OR_RETURN(int64_t n,
-                          ParseIntFlag("xicc", "--min-nodes", it->second, 0,
-                                       "a nonnegative integer"));
-    options.min_witness_nodes = static_cast<size_t>(n);
-  }
+  if (flags.Has("--big-m")) options.strategy = SolveStrategy::kBigM;
+  flags.Assign("--min-nodes", &options.min_witness_nodes);
   return options;
 }
 
-/// One line of sparse-LP-kernel counters (DESIGN.md §12), shared by the
-/// per-check and batch-total stats blocks.
-void PrintLpKernel(const LpKernelStats& k, std::ostream& out) {
+/// The arithmetic line and the sparse-LP-kernel line (DESIGN.md §12),
+/// shared by the per-check and batch-total stats blocks.
+void PrintArithmeticAndKernel(const ConsistencyStats& stats,
+                              std::ostream& out) {
+  out << "arithmetic: " << stats.num_small_ops << " small ops, "
+      << stats.num_big_ops << " big ops, " << stats.num_promotions
+      << " promotions / " << stats.num_demotions << " demotions, arena "
+      << stats.arena_bytes << " bytes\n";
+  const LpKernelStats& k = stats.lp_kernel;
   out << "lp kernel:  " << k.dantzig_pivots << " dantzig / " << k.bland_pivots
       << " bland pivots, " << k.bland_fallbacks << " fallbacks, fill-in "
       << k.fill_in << ", nnz " << k.nnz_cells << "/" << k.total_cells
@@ -214,11 +141,7 @@ void PrintStats(const ConsistencyStats& stats, std::ostream& out) {
       << stats.warm_starts << " warm / " << stats.cold_restarts
       << " cold), depth " << stats.search_depth << ", ilp "
       << stats.ilp_wall_ms << " ms\n";
-  out << "arithmetic: " << stats.num_small_ops << " small ops, "
-      << stats.num_big_ops << " big ops, " << stats.num_promotions
-      << " promotions / " << stats.num_demotions << " demotions, arena "
-      << stats.arena_bytes << " bytes\n";
-  PrintLpKernel(stats.lp_kernel, out);
+  PrintArithmeticAndKernel(stats, out);
   out << "session:    compile " << stats.compile_ms << " ms, "
       << stats.sigma_delta_checks << " sigma-delta, " << stats.memo_hits
       << " memo hits, " << stats.memo_misses << " memo misses\n";
@@ -227,62 +150,33 @@ void PrintStats(const ConsistencyStats& stats, std::ostream& out) {
       << " ms, store " << stats.memo_store_ms << " ms\n";
 }
 
-int CmdCheck(const std::vector<std::string>& args, std::ostream& out,
-             std::ostream& err) {
-  auto parsed = ParseArgs(args, 1,
-                          {{"--witness", true},
-                           {"--min-nodes", true},
-                           {"--big-m", false},
-                           {"--stats", false},
-                           {"--timeout-ms", true},
-                           {"--cancel-after", true},
-                           {"--artifact-cache", true}});
-  if (!parsed.ok() || parsed->positional.size() != 2) {
-    err << (parsed.ok() ? std::string("check needs <dtd> <constraints>")
-                        : parsed.status().message())
-        << "\n";
-    return kError;
-  }
-  auto spec = LoadSpec(parsed->positional[0], parsed->positional[1]);
-  if (!spec.ok()) {
-    err << spec.status() << "\n";
-    return kError;
-  }
-  auto options = OptionsFromFlags(*parsed);
-  if (!options.ok()) {
-    err << options.status() << "\n";
-    return kError;
-  }
-  StopPlumbing plumbing;
-  Status armed = plumbing.Arm(*parsed);
-  if (!armed.ok()) {
-    err << armed << "\n";
-    return kError;
-  }
+Result<int> CmdCheck(const FlagValues& flags, std::ostream& out,
+                     std::ostream& err) {
+  XICC_ASSIGN_OR_RETURN(XmlSpec spec, LoadSpec(flags.positional));
+  ConsistencyOptions options = OptionsFromFlags(flags);
+  StopPlumbing plumbing(flags);
   ConsistencyStats partial;
   if (plumbing.timeout_ms > 0 || plumbing.cancel_after_ms > 0) {
     if (plumbing.timeout_ms > 0) {
-      options->stop.deadline = Deadline::After(plumbing.timeout_ms);
+      options.stop.deadline = Deadline::After(plumbing.timeout_ms);
     }
-    options->stop.cancel = &plumbing.token;
-    options->partial_stats = &partial;
+    options.stop.cancel = &plumbing.token;
+    options.partial_stats = &partial;
   }
   // With --artifact-cache the check routes through a SpecSession over the
   // cached CompiledDtd (verdict-identical to CheckConsistent's dispatch);
   // without it, the classic compile-inline path.
-  auto cache_flag = parsed->flags.find("--artifact-cache");
+  const std::string cache_dir = flags.Str("--artifact-cache");
   std::optional<SpecSession> session;
   std::optional<ArtifactSource> artifact_source;
   auto result = [&]() -> Result<ConsistencyResult> {
-    if (cache_flag == parsed->flags.end()) {
-      return spec->CheckConsistent(*options);
-    }
-    ArtifactCache cache(ArtifactCache::Options{cache_flag->second, 16});
+    if (!flags.Has("--artifact-cache")) return spec.CheckConsistent(options);
+    ArtifactCache cache(ArtifactCache::Options{cache_dir, 16});
     XICC_ASSIGN_OR_RETURN(ArtifactCache::Lookup lookup,
-                          cache.GetOrCompile(spec->dtd));
+                          cache.GetOrCompile(spec.dtd));
     artifact_source = lookup.source;
-    session.emplace(std::move(lookup.compiled), *options);
-    return session->Check(spec->constraints);
+    session.emplace(std::move(lookup.compiled), options);
+    return session->Check(spec.constraints);
   }();
   if (session.has_value() && !result.ok()) partial = session->LastPartialStats();
   if (!result.ok()) {
@@ -292,11 +186,10 @@ int CmdCheck(const std::vector<std::string>& args, std::ostream& out,
       // A stopped check has decided nothing; report how far it got, never
       // a verdict.
       err << "no verdict: " << result.status().message() << "\n";
-      if (parsed->flags.count("--stats")) PrintStats(partial, err);
+      if (flags.Has("--stats")) PrintStats(partial, err);
       return kError;
     }
-    err << result.status() << "\n";
-    return kError;
+    return result.status();
   }
   out << "class:      " << ConstraintClassName(result->constraint_class)
       << "\n";
@@ -305,23 +198,18 @@ int CmdCheck(const std::vector<std::string>& args, std::ostream& out,
   if (!result->explanation.empty()) {
     out << "why:        " << result->explanation << "\n";
   }
-  if (parsed->flags.count("--stats")) {
+  if (flags.Has("--stats")) {
     PrintStats(result->stats, out);
     if (artifact_source.has_value()) {
       out << "artifact:   " << ArtifactSourceName(*artifact_source) << " ("
-          << cache_flag->second << ")\n";
+          << cache_dir << ")\n";
     }
   }
-  auto witness_flag = parsed->flags.find("--witness");
-  if (witness_flag != parsed->flags.end() && result->witness.has_value()) {
-    Status written =
-        WriteFile(witness_flag->second, SerializeXml(*result->witness));
-    if (!written.ok()) {
-      err << written << "\n";
-      return kError;
-    }
-    out << "witness:    " << witness_flag->second << " ("
-        << result->witness->size() << " nodes)\n";
+  if (flags.Has("--witness") && result->witness.has_value()) {
+    const std::string path = flags.Str("--witness");
+    XICC_RETURN_IF_ERROR(WriteFile(path, SerializeXml(*result->witness)));
+    out << "witness:    " << path << " (" << result->witness->size()
+        << " nodes)\n";
   }
   return result->consistent ? kOk : kNegative;
 }
@@ -353,39 +241,13 @@ std::vector<std::string> SplitQueryBlocks(const std::string& text) {
   return blocks;
 }
 
-int CmdBatch(const std::vector<std::string>& args, std::ostream& out,
-             std::ostream& err) {
-  auto parsed = ParseArgs(args, 1,
-                          {{"--threads", true},
-                           {"--chunk", true},
-                           {"--big-m", false},
-                           {"--stats", false},
-                           {"--timeout-ms", true},
-                           {"--cancel-after", true},
-                           {"--artifact-cache", true}});
-  if (!parsed.ok() || parsed->positional.size() != 2) {
-    err << (parsed.ok() ? std::string("batch needs <dtd> <queries>")
-                        : parsed.status().message())
-        << "\n";
-    return kError;
-  }
-  auto dtd_text = ReadFile(parsed->positional[0]);
-  if (!dtd_text.ok()) {
-    err << dtd_text.status() << "\n";
-    return kError;
-  }
-  auto dtd = ParseDtd(*dtd_text);
-  if (!dtd.ok()) {
-    err << dtd.status() << "\n";
-    return kError;
-  }
-  auto queries_text = ReadFile(parsed->positional[1]);
-  if (!queries_text.ok()) {
-    err << queries_text.status() << "\n";
-    return kError;
-  }
+Result<int> CmdBatch(const FlagValues& flags, std::ostream& out,
+                     std::ostream& err) {
+  XICC_ASSIGN_OR_RETURN(Dtd dtd, LoadDtd(flags.positional[0]));
+  XICC_ASSIGN_OR_RETURN(std::string queries_text,
+                        ReadFile(flags.positional[1]));
   std::vector<ConstraintSet> queries;
-  for (const std::string& block : SplitQueryBlocks(*queries_text)) {
+  for (const std::string& block : SplitQueryBlocks(queries_text)) {
     auto sigma = ParseConstraints(block);
     if (!sigma.ok()) {
       err << "query " << queries.size() << ": " << sigma.status() << "\n";
@@ -395,53 +257,25 @@ int CmdBatch(const std::vector<std::string>& args, std::ostream& out,
   }
 
   BatchOptions options;
-  if (parsed->flags.count("--big-m")) {
-    options.check.strategy = SolveStrategy::kBigM;
-  }
-  auto threads_flag = parsed->flags.find("--threads");
-  if (threads_flag != parsed->flags.end()) {
-    auto n = ParseIntFlag("xicc", "--threads", threads_flag->second, 1,
-                          "a positive integer");
-    if (!n.ok()) {
-      err << n.status() << "\n";
-      return kError;
-    }
-    options.num_threads = static_cast<size_t>(*n);
-  }
-  auto chunk_flag = parsed->flags.find("--chunk");
-  if (chunk_flag != parsed->flags.end()) {
-    auto n = ParseIntFlag("xicc", "--chunk", chunk_flag->second, 1,
-                          "a positive integer");
-    if (!n.ok()) {
-      err << n.status() << "\n";
-      return kError;
-    }
-    options.chunk_size = static_cast<size_t>(*n);
-  }
-  StopPlumbing plumbing;
-  Status armed = plumbing.Arm(*parsed);
-  if (!armed.ok()) {
-    err << armed << "\n";
-    return kError;
-  }
+  options.check = OptionsFromFlags(flags);
+  flags.Assign("--threads", &options.num_threads);
+  flags.Assign("--chunk", &options.chunk_size);
+  StopPlumbing plumbing(flags);
   options.item_timeout_ms = plumbing.timeout_ms;
   if (plumbing.cancel_after_ms > 0) options.cancel = &plumbing.token;
 
-  auto cache_flag = parsed->flags.find("--artifact-cache");
+  const std::string cache_dir = flags.Str("--artifact-cache");
   std::optional<ArtifactSource> artifact_source;
   StageTally artifact_tally;
   auto compiled = [&]() -> Result<std::shared_ptr<const CompiledDtd>> {
-    if (cache_flag == parsed->flags.end()) return CompileDtd(*dtd);
-    ArtifactCache cache(ArtifactCache::Options{cache_flag->second, 16});
+    if (!flags.Has("--artifact-cache")) return CompileDtd(dtd);
+    ArtifactCache cache(ArtifactCache::Options{cache_dir, 16});
     XICC_ASSIGN_OR_RETURN(ArtifactCache::Lookup lookup,
-                          cache.GetOrCompile(*dtd, &artifact_tally));
+                          cache.GetOrCompile(dtd, &artifact_tally));
     artifact_source = lookup.source;
     return std::move(lookup.compiled);
   }();
-  if (!compiled.ok()) {
-    err << compiled.status() << "\n";
-    return kError;
-  }
+  if (!compiled.ok()) return compiled.status();
   BatchDegradedStats degraded;
   BatchRunStats run;
   std::vector<BatchItemResult> results =
@@ -486,11 +320,11 @@ int CmdBatch(const std::vector<std::string>& args, std::ostream& out,
     total.memo_misses += item.result.stats.memo_misses;
   }
   out << "queries:    " << results.size() << "\n";
-  if (parsed->flags.count("--stats")) {
+  if (flags.Has("--stats")) {
     out << "compile:    " << (*compiled)->compile_ms << " ms (once)\n";
     if (artifact_source.has_value()) {
       out << "artifact:   " << ArtifactSourceName(*artifact_source) << " ("
-          << cache_flag->second << "), load "
+          << cache_dir << "), load "
           << artifact_tally.MsFor(Stage::kArtifactLoad) << " ms, store "
           << artifact_tally.MsFor(Stage::kArtifactStore) << " ms\n";
     }
@@ -500,11 +334,7 @@ int CmdBatch(const std::vector<std::string>& args, std::ostream& out,
         << total.lp_pivots << " lp pivots (" << total.warm_starts
         << " warm / " << total.cold_restarts << " cold), ilp "
         << total.ilp_wall_ms << " ms\n";
-    out << "arithmetic: " << total.num_small_ops << " small ops, "
-        << total.num_big_ops << " big ops, " << total.num_promotions
-        << " promotions / " << total.num_demotions << " demotions, arena "
-        << total.arena_bytes << " bytes\n";
-    PrintLpKernel(total.lp_kernel, out);
+    PrintArithmeticAndKernel(total, out);
     out << "degraded:   " << degraded.quarantined << " quarantined ("
         << degraded.deadline_exceeded << " deadline, " << degraded.cancelled
         << " cancelled, " << degraded.resource_exhausted << " exhausted), "
@@ -528,70 +358,42 @@ int CmdBatch(const std::vector<std::string>& args, std::ostream& out,
   return all_consistent ? kOk : kNegative;
 }
 
-int CmdCompile(const std::vector<std::string>& args, std::ostream& out,
-               std::ostream& err) {
-  auto parsed = ParseArgs(args, 1,
-                          {{"--artifact-cache", true}, {"--out", true}});
-  if (!parsed.ok() || parsed->positional.size() != 1) {
-    err << (parsed.ok() ? std::string("compile needs <dtd>")
-                        : parsed.status().message())
-        << "\n";
-    return kError;
+Result<int> CmdCompile(const FlagValues& flags, std::ostream& out,
+                       std::ostream& err) {
+  const bool to_cache = flags.Has("--artifact-cache");
+  if (!to_cache && !flags.Has("--out")) {
+    return Status::InvalidArgument(
+        "compile needs --artifact-cache DIR and/or --out FILE");
   }
-  auto cache_flag = parsed->flags.find("--artifact-cache");
-  auto out_flag = parsed->flags.find("--out");
-  if (cache_flag == parsed->flags.end() && out_flag == parsed->flags.end()) {
-    err << "compile needs --artifact-cache DIR and/or --out FILE\n";
-    return kError;
-  }
-  auto dtd_text = ReadFile(parsed->positional[0]);
-  if (!dtd_text.ok()) {
-    err << dtd_text.status() << "\n";
-    return kError;
-  }
-  auto dtd = ParseDtd(*dtd_text);
-  if (!dtd.ok()) {
-    err << dtd.status() << "\n";
-    return kError;
-  }
+  XICC_ASSIGN_OR_RETURN(Dtd dtd, LoadDtd(flags.positional[0]));
 
   std::shared_ptr<const CompiledDtd> compiled;
   StageTally tally;
   char key_hex[17];
   std::snprintf(key_hex, sizeof(key_hex), "%016llx",
-                static_cast<unsigned long long>(DtdContentHash(*dtd)));
+                static_cast<unsigned long long>(DtdContentHash(dtd)));
   out << "content:    " << key_hex << " (format v" << kArtifactFormatVersion
       << ")\n";
-  if (cache_flag != parsed->flags.end()) {
-    ArtifactCache cache(ArtifactCache::Options{cache_flag->second, 1});
-    auto lookup = cache.GetOrCompile(*dtd, &tally);
-    if (!lookup.ok()) {
-      err << lookup.status() << "\n";
-      return kError;
-    }
-    compiled = std::move(lookup->compiled);
-    out << "artifact:   " << cache.DiskPathFor(*dtd) << " ("
-        << ArtifactSourceName(lookup->source) << ")\n";
+  if (to_cache) {
+    const std::string cache_dir = flags.Str("--artifact-cache");
+    ArtifactCache cache(ArtifactCache::Options{cache_dir, 1});
+    XICC_ASSIGN_OR_RETURN(ArtifactCache::Lookup lookup,
+                          cache.GetOrCompile(dtd, &tally));
+    compiled = std::move(lookup.compiled);
+    out << "artifact:   " << cache.DiskPathFor(dtd) << " ("
+        << ArtifactSourceName(lookup.source) << ")\n";
     if (cache.stats().store_failures > 0) {
-      err << "warning: artifact could not be stored in '"
-          << cache_flag->second << "'\n";
+      err << "warning: artifact could not be stored in '" << cache_dir
+          << "'\n";
     }
   } else {
-    auto fresh = CompileDtd(*dtd);
-    if (!fresh.ok()) {
-      err << fresh.status() << "\n";
-      return kError;
-    }
-    compiled = std::move(*fresh);
+    XICC_ASSIGN_OR_RETURN(compiled, CompileDtd(dtd));
   }
-  if (out_flag != parsed->flags.end()) {
+  if (flags.Has("--out")) {
+    const std::string path = flags.Str("--out");
     StageTimer timer(&tally, Stage::kArtifactStore);
-    Status stored = StoreCompiledDtd(*compiled, out_flag->second);
-    if (!stored.ok()) {
-      err << stored << "\n";
-      return kError;
-    }
-    out << "artifact:   " << out_flag->second << "\n";
+    XICC_RETURN_IF_ERROR(StoreCompiledDtd(*compiled, path));
+    out << "artifact:   " << path << "\n";
   }
   out << "compile:    " << compiled->compile_ms << " ms, load "
       << tally.MsFor(Stage::kArtifactLoad) << " ms, store "
@@ -599,137 +401,67 @@ int CmdCompile(const std::vector<std::string>& args, std::ostream& out,
   return kOk;
 }
 
-int CmdImplies(const std::vector<std::string>& args, std::ostream& out,
-               std::ostream& err) {
-  auto parsed = ParseArgs(args, 1, {{"--counterexample", true}});
-  if (!parsed.ok() || parsed->positional.size() != 3) {
-    err << (parsed.ok()
-                ? std::string("implies needs <dtd> <constraints> <phi>")
-                : parsed.status().message())
-        << "\n";
-    return kError;
+Result<int> CmdImplies(const FlagValues& flags, std::ostream& out,
+                       std::ostream& /*err*/) {
+  XICC_ASSIGN_OR_RETURN(XmlSpec spec, LoadSpec(flags.positional));
+  XICC_ASSIGN_OR_RETURN(ImplicationResult result,
+                        spec.Implies(flags.positional[2]));
+  out << "method:  " << result.method << "\n";
+  out << "implied: " << (result.implied ? "yes" : "no") << "\n";
+  if (!result.explanation.empty()) {
+    out << "why:     " << result.explanation << "\n";
   }
-  auto spec = LoadSpec(parsed->positional[0], parsed->positional[1]);
-  if (!spec.ok()) {
-    err << spec.status() << "\n";
-    return kError;
+  if (flags.Has("--counterexample") && result.counterexample.has_value()) {
+    const std::string path = flags.Str("--counterexample");
+    XICC_RETURN_IF_ERROR(WriteFile(path, SerializeXml(*result.counterexample)));
+    out << "counterexample: " << path << "\n";
   }
-  auto result = spec->Implies(parsed->positional[2]);
-  if (!result.ok()) {
-    err << result.status() << "\n";
-    return kError;
-  }
-  out << "method:  " << result->method << "\n";
-  out << "implied: " << (result->implied ? "yes" : "no") << "\n";
-  if (!result->explanation.empty()) {
-    out << "why:     " << result->explanation << "\n";
-  }
-  auto flag = parsed->flags.find("--counterexample");
-  if (flag != parsed->flags.end() && result->counterexample.has_value()) {
-    Status written =
-        WriteFile(flag->second, SerializeXml(*result->counterexample));
-    if (!written.ok()) {
-      err << written << "\n";
-      return kError;
-    }
-    out << "counterexample: " << flag->second << "\n";
-  }
-  return result->implied ? kOk : kNegative;
+  return result.implied ? kOk : kNegative;
 }
 
-int CmdValidate(const std::vector<std::string>& args, std::ostream& out,
-                std::ostream& err) {
-  auto parsed = ParseArgs(args, 1, {{"--stream", false}});
-  if (!parsed.ok() || parsed->positional.size() != 3) {
-    err << (parsed.ok()
-                ? std::string("validate needs <dtd> <constraints> "
-                              "<document.xml> [--stream]")
-                : parsed.status().message())
-        << "\n";
-    return kError;
+Result<int> CmdValidate(const FlagValues& flags, std::ostream& out,
+                        std::ostream& /*err*/) {
+  XICC_ASSIGN_OR_RETURN(XmlSpec spec, LoadSpec(flags.positional));
+  XICC_ASSIGN_OR_RETURN(std::string text, ReadFile(flags.positional[2]));
+  if (flags.Has("--stream")) {
+    XICC_ASSIGN_OR_RETURN(
+        StreamingValidator::Summary summary,
+        ValidateStream(text, spec.dtd, spec.constraints));
+    out << summary.ToString() << "\n";
+    out << "(streamed " << summary.elements_seen << " elements)\n";
+    return summary.conforms ? kOk : kNegative;
   }
-  auto spec = LoadSpec(parsed->positional[0], parsed->positional[1]);
-  if (!spec.ok()) {
-    err << spec.status() << "\n";
-    return kError;
-  }
-  auto text = ReadFile(parsed->positional[2]);
-  if (!text.ok()) {
-    err << text.status() << "\n";
-    return kError;
-  }
-  if (parsed->flags.count("--stream")) {
-    auto summary = ValidateStream(*text, spec->dtd, spec->constraints);
-    if (!summary.ok()) {
-      err << summary.status() << "\n";
-      return kError;
-    }
-    out << summary->ToString() << "\n";
-    out << "(streamed " << summary->elements_seen << " elements)\n";
-    return summary->conforms ? kOk : kNegative;
-  }
-  auto tree = ParseXml(*text);
-  if (!tree.ok()) {
-    err << tree.status() << "\n";
-    return kError;
-  }
-  auto report = spec->CheckDocument(*tree);
+  XICC_ASSIGN_OR_RETURN(XmlTree tree, ParseXml(text));
+  auto report = spec.CheckDocument(tree);
   out << report.details << "\n";
   return report.conforms ? kOk : kNegative;
 }
 
-int CmdWitness(const std::vector<std::string>& args, std::ostream& out,
-               std::ostream& err) {
-  auto parsed = ParseArgs(args, 1, {{"--min-nodes", true}});
-  if (!parsed.ok() || parsed->positional.size() != 2) {
-    err << (parsed.ok() ? std::string("witness needs <dtd> <constraints>")
-                        : parsed.status().message())
-        << "\n";
-    return kError;
-  }
-  auto spec = LoadSpec(parsed->positional[0], parsed->positional[1]);
-  if (!spec.ok()) {
-    err << spec.status() << "\n";
-    return kError;
-  }
-  auto options = OptionsFromFlags(*parsed);
-  if (!options.ok()) {
-    err << options.status() << "\n";
-    return kError;
-  }
-  auto result = spec->CheckConsistent(*options);
-  if (!result.ok()) {
-    err << result.status() << "\n";
-    return kError;
-  }
-  if (!result->consistent) {
-    err << "inconsistent: " << result->explanation << "\n";
+Result<int> CmdWitness(const FlagValues& flags, std::ostream& out,
+                       std::ostream& err) {
+  XICC_ASSIGN_OR_RETURN(XmlSpec spec, LoadSpec(flags.positional));
+  XICC_ASSIGN_OR_RETURN(ConsistencyResult result,
+                        spec.CheckConsistent(OptionsFromFlags(flags)));
+  if (!result.consistent) {
+    err << "inconsistent: " << result.explanation << "\n";
     return kNegative;
   }
-  if (!result->witness.has_value()) {
+  if (!result.witness.has_value()) {
     err << "consistent, but the witness could not be materialized: "
-        << result->explanation << "\n";
+        << result.explanation << "\n";
     return kError;
   }
-  out << SerializeXml(*result->witness);
+  out << SerializeXml(*result.witness);
   return kOk;
 }
 
-int CmdClassify(const std::vector<std::string>& args, std::ostream& out,
-                std::ostream& err) {
-  if (args.size() != 3) {
-    err << "classify needs <dtd> <constraints>\n";
-    return kError;
-  }
-  auto spec = LoadSpec(args[1], args[2]);
-  if (!spec.ok()) {
-    err << spec.status() << "\n";
-    return kError;
-  }
-  ConstraintClass klass = spec->constraints.Classify();
+Result<int> CmdClassify(const FlagValues& flags, std::ostream& out,
+                        std::ostream& /*err*/) {
+  XICC_ASSIGN_OR_RETURN(XmlSpec spec, LoadSpec(flags.positional));
+  ConstraintClass klass = spec.constraints.Classify();
   out << "class:   " << ConstraintClassName(klass) << "\n";
   out << "primary: "
-      << (spec->constraints.SatisfiesPrimaryKeyRestriction() ? "yes" : "no")
+      << (spec.constraints.SatisfiesPrimaryKeyRestriction() ? "yes" : "no")
       << "\n";
   switch (klass) {
     case ConstraintClass::kEmpty:
@@ -751,225 +483,239 @@ int CmdClassify(const std::vector<std::string>& args, std::ostream& out,
   return kOk;
 }
 
-int CmdSimplify(const std::vector<std::string>& args, std::ostream& out,
-                std::ostream& err) {
-  if (args.size() != 2) {
-    err << "simplify needs <dtd>\n";
-    return kError;
-  }
-  auto text = ReadFile(args[1]);
-  if (!text.ok()) {
-    err << text.status() << "\n";
-    return kError;
-  }
-  auto dtd = ParseDtd(*text);
-  if (!dtd.ok()) {
-    err << dtd.status() << "\n";
-    return kError;
-  }
-  auto simplified = SimplifyDtd(*dtd);
-  if (!simplified.ok()) {
-    err << simplified.status() << "\n";
-    return kError;
-  }
-  out << simplified->dtd.ToString();
-  out << "<!-- synthetic element types: " << simplified->synthetic.size()
+Result<int> CmdSimplify(const FlagValues& flags, std::ostream& out,
+                        std::ostream& /*err*/) {
+  XICC_ASSIGN_OR_RETURN(Dtd dtd, LoadDtd(flags.positional[0]));
+  XICC_ASSIGN_OR_RETURN(SimplifiedDtd simplified, SimplifyDtd(dtd));
+  out << simplified.dtd.ToString();
+  out << "<!-- synthetic element types: " << simplified.synthetic.size()
       << " -->\n";
   return kOk;
 }
 
-int CmdEncode(const std::vector<std::string>& args, std::ostream& out,
-              std::ostream& err) {
-  if (args.size() != 3) {
-    err << "encode needs <dtd> <constraints>\n";
-    return kError;
-  }
-  auto spec = LoadSpec(args[1], args[2]);
-  if (!spec.ok()) {
-    err << spec.status() << "\n";
-    return kError;
-  }
-  auto enc =
-      BuildCardinalityEncoding(spec->dtd, spec->constraints.Normalize());
-  if (!enc.ok()) {
-    err << enc.status() << "\n";
-    return kError;
-  }
-  out << "# Ψ(D,Σ): " << enc->system.NumVariables() << " variables, "
-      << enc->system.NumConstraints() << " rows, "
-      << enc->conditionals.size() << " conditionals\n";
-  out << enc->system.ToString() << "\n";
-  for (const Conditional& cond : enc->conditionals) {
+Result<int> CmdEncode(const FlagValues& flags, std::ostream& out,
+                      std::ostream& /*err*/) {
+  XICC_ASSIGN_OR_RETURN(XmlSpec spec, LoadSpec(flags.positional));
+  XICC_ASSIGN_OR_RETURN(
+      CardinalityEncoding enc,
+      BuildCardinalityEncoding(spec.dtd, spec.constraints.Normalize()));
+  out << "# Ψ(D,Σ): " << enc.system.NumVariables() << " variables, "
+      << enc.system.NumConstraints() << " rows, " << enc.conditionals.size()
+      << " conditionals\n";
+  out << enc.system.ToString() << "\n";
+  for (const Conditional& cond : enc.conditionals) {
     // Conditionals have single-variable sides in Ψ(D,Σ).
     out << "# conditional: premise>0 -> conclusion>0 over vars";
     for (const auto& [var, coeff] : cond.premise.terms()) {
-      out << " " << enc->system.VarName(var);
+      out << " " << enc.system.VarName(var);
     }
     out << " ->";
     for (const auto& [var, coeff] : cond.conclusion.terms()) {
-      out << " " << enc->system.VarName(var);
+      out << " " << enc.system.VarName(var);
     }
     out << "\n";
   }
   return kOk;
 }
 
-int CmdClosure(const std::vector<std::string>& args, std::ostream& out,
-               std::ostream& err) {
-  auto parsed = ParseArgs(args, 1, {{"--no-inclusions", false}});
-  if (!parsed.ok() || parsed->positional.size() != 2) {
-    err << (parsed.ok() ? std::string("closure needs <dtd> <constraints>")
-                        : parsed.status().message())
-        << "\n";
-    return kError;
-  }
-  auto spec = LoadSpec(parsed->positional[0], parsed->positional[1]);
-  if (!spec.ok()) {
-    err << spec.status() << "\n";
-    return kError;
-  }
+Result<int> CmdClosure(const FlagValues& flags, std::ostream& out,
+                       std::ostream& /*err*/) {
+  XICC_ASSIGN_OR_RETURN(XmlSpec spec, LoadSpec(flags.positional));
   ClosureOptions options;
-  options.include_inclusions = parsed->flags.count("--no-inclusions") == 0;
-  auto closure = ComputeUnaryClosure(spec->dtd, spec->constraints, options);
-  if (!closure.ok()) {
-    err << closure.status() << "\n";
-    return kError;
-  }
-  out << "implied keys (" << closure->implied_keys.size() << "):\n";
-  for (const Constraint& c : closure->implied_keys) {
+  options.include_inclusions = !flags.Has("--no-inclusions");
+  XICC_ASSIGN_OR_RETURN(
+      UnaryClosure closure,
+      ComputeUnaryClosure(spec.dtd, spec.constraints, options));
+  out << "implied keys (" << closure.implied_keys.size() << "):\n";
+  for (const Constraint& c : closure.implied_keys) {
     out << "  " << c.ToString() << "\n";
   }
-  out << "implied inclusions (" << closure->implied_inclusions.size()
+  out << "implied inclusions (" << closure.implied_inclusions.size()
       << "):\n";
-  for (const Constraint& c : closure->implied_inclusions) {
+  for (const Constraint& c : closure.implied_inclusions) {
     out << "  " << c.ToString() << "\n";
   }
-  auto redundant = FindRedundantConstraints(spec->dtd, spec->constraints);
-  if (!redundant.ok()) {
-    err << redundant.status() << "\n";
-    return kError;
-  }
-  out << "redundant constraints (" << redundant->size() << "):\n";
-  for (const Constraint& c : *redundant) {
+  XICC_ASSIGN_OR_RETURN(std::vector<Constraint> redundant,
+                        FindRedundantConstraints(spec.dtd, spec.constraints));
+  out << "redundant constraints (" << redundant.size() << "):\n";
+  for (const Constraint& c : redundant) {
     out << "  " << c.ToString() << "\n";
   }
   return kOk;
 }
 
-int CmdEquiv(const std::vector<std::string>& args, std::ostream& out,
-             std::ostream& err) {
-  if (args.size() != 4) {
-    err << "equiv needs <dtd> <constraints1> <constraints2>\n";
-    return kError;
+Result<int> CmdEquiv(const FlagValues& flags, std::ostream& out,
+                     std::ostream& /*err*/) {
+  XICC_ASSIGN_OR_RETURN(XmlSpec spec1, LoadSpec(flags.positional));
+  XICC_ASSIGN_OR_RETURN(std::string sigma2_text, ReadFile(flags.positional[2]));
+  XICC_ASSIGN_OR_RETURN(ConstraintSet sigma2, ParseConstraints(sigma2_text));
+  XICC_RETURN_IF_ERROR(sigma2.CheckAgainst(spec1.dtd));
+  XICC_ASSIGN_OR_RETURN(
+      EquivalenceResult result,
+      CheckEquivalence(spec1.dtd, spec1.constraints, sigma2));
+  out << "equivalent: " << (result.equivalent ? "yes" : "no") << "\n";
+  if (!result.equivalent) {
+    out << "separated by: " << result.separating_constraint << "\n";
   }
-  auto spec1 = LoadSpec(args[1], args[2]);
-  if (!spec1.ok()) {
-    err << spec1.status() << "\n";
-    return kError;
-  }
-  auto sigma2_text = ReadFile(args[3]);
-  if (!sigma2_text.ok()) {
-    err << sigma2_text.status() << "\n";
-    return kError;
-  }
-  auto sigma2 = ParseConstraints(*sigma2_text);
-  if (!sigma2.ok()) {
-    err << sigma2.status() << "\n";
-    return kError;
-  }
-  Status against = sigma2->CheckAgainst(spec1->dtd);
-  if (!against.ok()) {
-    err << against << "\n";
-    return kError;
-  }
-  auto result = CheckEquivalence(spec1->dtd, spec1->constraints, *sigma2);
-  if (!result.ok()) {
-    err << result.status() << "\n";
-    return kError;
-  }
-  out << "equivalent: " << (result->equivalent ? "yes" : "no") << "\n";
-  if (!result->equivalent) {
-    out << "separated by: " << result->separating_constraint << "\n";
-  }
-  return result->equivalent ? kOk : kNegative;
+  return result.equivalent ? kOk : kNegative;
 }
 
-int CmdIdrefs(const std::vector<std::string>& args, std::ostream& out,
-              std::ostream& err) {
-  if (args.size() != 2) {
-    err << "idrefs needs <dtd>\n";
-    return kError;
-  }
-  auto text = ReadFile(args[1]);
-  if (!text.ok()) {
-    err << text.status() << "\n";
-    return kError;
-  }
-  auto dtd = ParseDtd(*text);
-  if (!dtd.ok()) {
-    err << dtd.status() << "\n";
-    return kError;
-  }
-  auto translation = DeriveIdConstraints(*dtd);
-  if (!translation.ok()) {
-    err << translation.status() << "\n";
-    return kError;
-  }
-  out << translation->constraints.ToString() << "\n";
-  for (const std::string& note : translation->notes) {
+Result<int> CmdIdrefs(const FlagValues& flags, std::ostream& out,
+                      std::ostream& /*err*/) {
+  XICC_ASSIGN_OR_RETURN(Dtd dtd, LoadDtd(flags.positional[0]));
+  XICC_ASSIGN_OR_RETURN(IdConstraintTranslation translation,
+                        DeriveIdConstraints(dtd));
+  out << translation.constraints.ToString() << "\n";
+  for (const std::string& note : translation.notes) {
     out << "# note: " << note << "\n";
   }
   return kOk;
 }
 
-}  // namespace
+/// One `xicc` command: its flag table and the code that runs it on
+/// already-validated values.
+struct CliCommand {
+  Command command;
+  Result<int> (*run)(const FlagValues&, std::ostream&, std::ostream&);
+};
 
-Result<int64_t> ParseIntFlag(const std::string& program,
-                             const std::string& name, const std::string& text,
-                             int64_t min, const std::string& expected) {
-  const std::string hint = " (run `" + program + " --help` for usage)";
-  errno = 0;
-  char* end = nullptr;
-  long long n = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') {
-    return Status::InvalidArgument(name + " needs " + expected + ", got '" +
-                                   text + "'" + hint);
-  }
-  if (errno == ERANGE) {
-    return Status::InvalidArgument(name + " value '" + text +
-                                   "' is out of range" + hint);
-  }
-  if (n < min) {
-    return Status::InvalidArgument(name + " needs " + expected + ", got '" +
-                                   text + "'" + hint);
-  }
-  return static_cast<int64_t>(n);
+const std::vector<CliCommand>& Commands() {
+  static const std::vector<CliCommand> kCommands = [] {
+    // Flags several commands share, declared once.
+    const Flag big_m = SwitchFlag(
+        "--big-m", "big-M linearization instead of the case split (ablation)");
+    const Flag stats =
+        SwitchFlag("--stats", "print the solver counters behind the verdict");
+    const Flag min_nodes = IntFlag(
+        "--min-nodes", 0, "witness has >= N element nodes (0: any size)");
+    const Flag timeout_ms = IntFlag(
+        "--timeout-ms", 1, "budget of one check (batch: each query), ms");
+    const Flag cancel_after =
+        IntFlag("--cancel-after", 1, "cancel the whole run after N ms");
+    const Flag artifact_cache = StringFlag(
+        "--artifact-cache", "DIR", "compiled-DTD artifact directory");
+    return std::vector<CliCommand>{
+      {{"xicc check",
+        {"<dtd>", "<constraints>"},
+        {StringFlag("--witness", "FILE", "write the witness document to FILE"),
+         min_nodes, big_m, stats, timeout_ms, cancel_after, artifact_cache},
+        "Is the specification consistent? (exit 0 yes / 1 no)"},
+       CmdCheck},
+      {{"xicc batch",
+        {"<dtd>", "<queries>"},
+        {IntFlag("--threads", 1, "worker threads (default: 1)"),
+         IntFlag("--chunk", 1, "queries per scheduled chunk (default: auto)"),
+         big_m, stats, timeout_ms, cancel_after, artifact_cache},
+        "Answer many consistency queries against one compiled DTD.\n"
+        "<queries> holds constraint blocks separated by lines of `---`;\n"
+        "the DTD is compiled once and shared by all worker sessions."},
+       CmdBatch},
+      {{"xicc compile",
+        {"<dtd>"},
+        {artifact_cache,
+         StringFlag("--out", "FILE", "write the artifact to FILE")},
+        "Compile the DTD into a persistent artifact (grammar facts,\n"
+        "frozen DFAs, minimal-tree plan, LP skeleton + warm-start basis)\n"
+        "and store it in the cache directory and/or an explicit file.\n"
+        "Later check/batch runs with --artifact-cache DIR warm-start\n"
+        "from the artifact instead of recompiling."},
+       CmdCompile},
+      {{"xicc implies",
+        {"<dtd>", "<constraints>", "<phi>"},
+        {StringFlag("--counterexample", "FILE",
+                    "write the counterexample document to FILE")},
+        "Does the specification imply the constraint <phi>?"},
+       CmdImplies},
+      {{"xicc validate",
+        {"<dtd>", "<constraints>", "<document.xml>"},
+        {SwitchFlag("--stream", "single pass, no tree materialized")},
+        "Check a concrete document against DTD and constraints\n"
+        "(--stream: single pass, no tree materialized)."},
+       CmdValidate},
+      {{"xicc witness",
+        {"<dtd>", "<constraints>"},
+        {min_nodes},
+        "Print an example document satisfying the specification."},
+       CmdWitness},
+      {{"xicc classify",
+        {"<dtd>", "<constraints>"},
+        {},
+        "Report the Figure-5 constraint class and decidability."},
+       CmdClassify},
+      {{"xicc simplify", {"<dtd>"}, {},
+        "Print the Section 4.1 simplified DTD."},
+       CmdSimplify},
+      {{"xicc encode",
+        {"<dtd>", "<constraints>"},
+        {},
+        "Print the Ψ(D,Σ) cardinality system (Theorem 4.1)."},
+       CmdEncode},
+      {{"xicc closure",
+        {"<dtd>", "<constraints>"},
+        {SwitchFlag("--no-inclusions", "skip the implied-inclusion search")},
+        "List implied-but-unstated unary keys/inclusions and redundant\n"
+        "constraints."},
+       CmdClosure},
+      {{"xicc equiv",
+        {"<dtd>", "<constraints1>", "<constraints2>"},
+        {},
+        "Are two constraint sets equivalent over the DTD? (exit 0/1)"},
+       CmdEquiv},
+      {{"xicc idrefs", {"<dtd>"}, {},
+        "Translate ID/IDREF attribute declarations into constraints."},
+       CmdIdrefs},
+    };
+  }();
+  return kCommands;
 }
+
+/// The `xicc help` text: every command's synopsis and summary, then the
+/// hand-written notes.
+std::string Overview() {
+  std::string text = "usage: xicc <command> ...\n\n";
+  const std::string indent(11, ' ');
+  for (const CliCommand& cli : Commands()) {
+    std::string head = "  " + cli.command.name.substr(5);  // Drop "xicc ".
+    head.resize(10, ' ');
+    text += RenderSynopsis(cli.command, head, indent.size());
+    std::istringstream summary(cli.command.summary);
+    for (std::string line; std::getline(summary, line);) {
+      text += indent + line + "\n";
+    }
+  }
+  return text + kNotes;
+}
+
+}  // namespace
 
 int RunCli(const std::vector<std::string>& args, std::ostream& out,
            std::ostream& err) {
   if (args.empty()) {
-    err << kUsage;
+    err << Overview();
     return kError;
   }
-  const std::string& command = args[0];
-  if (command == "check") return CmdCheck(args, out, err);
-  if (command == "batch") return CmdBatch(args, out, err);
-  if (command == "compile") return CmdCompile(args, out, err);
-  if (command == "implies") return CmdImplies(args, out, err);
-  if (command == "validate") return CmdValidate(args, out, err);
-  if (command == "witness") return CmdWitness(args, out, err);
-  if (command == "classify") return CmdClassify(args, out, err);
-  if (command == "simplify") return CmdSimplify(args, out, err);
-  if (command == "encode") return CmdEncode(args, out, err);
-  if (command == "closure") return CmdClosure(args, out, err);
-  if (command == "equiv") return CmdEquiv(args, out, err);
-  if (command == "idrefs") return CmdIdrefs(args, out, err);
-  if (command == "help" || command == "--help" || command == "-h") {
-    out << kUsage;
+  const std::string& name = args[0];
+  if (name == "help" || name == "--help" || name == "-h") {
+    out << Overview();
     return kOk;
   }
-  err << "unknown command '" << command << "'\n" << kUsage;
+  for (const CliCommand& cli : Commands()) {
+    if (cli.command.name != "xicc " + name) continue;
+    Result<FlagValues> flags =
+        ParseFlags(cli.command, {args.begin() + 1, args.end()});
+    if (flags.ok() && flags->help) {
+      out << RenderUsage(cli.command);
+      return kOk;
+    }
+    Result<int> code = flags.ok() ? cli.run(*flags, out, err)
+                                  : Result<int>(flags.status());
+    if (!code.ok()) {
+      err << code.status() << "\n";
+      return kError;
+    }
+    return *code;
+  }
+  err << "unknown command '" << name << "'\n" << Overview();
   return kError;
 }
 

@@ -7,7 +7,6 @@
 // finding is new vs. the baseline, 1 when new findings exist, 2 on
 // usage/I/O errors.
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <set>
@@ -17,82 +16,69 @@
 
 #include "analysis/analyze.h"
 #include "analysis/lint_rules.h"
+#include "tools/flags.h"
 
 namespace {
 
-constexpr const char* kUsage = R"(usage: xicc_analyze [options]
-  --root DIR        repository root to analyze (default: .); scans DIR/src
-  --format FMT      text (default) or json (machine-readable full report)
-  --baseline FILE   accepted-findings file (default: DIR/ANALYZE_BASELINE.txt)
-  --write-baseline  rewrite the baseline to accept every current finding
-  --fix             apply mechanical fixes (pragma-once guards) and rewrite
-                    LOCK_ORDER.md from the inferred lock graph
-  --list-rules      print every rule (semantic + lint) and exit
+using xicc::tools::StringFlag;
+using xicc::tools::SwitchFlag;
 
-Suppress a finding with a trailing comment on (or directly above) the line:
-  // xicc-lint: allow(rule-name)
-)";
+const xicc::tools::Command kAnalyze = {
+    "xicc_analyze",
+    {},
+    {StringFlag("--root", "DIR",
+                "repository root to analyze (default: .); scans DIR/src"),
+     StringFlag("--format", "FMT",
+                "text (default) or json (machine-readable full report)"),
+     StringFlag("--baseline", "FILE",
+                "accepted findings (default: DIR/ANALYZE_BASELINE.txt)"),
+     SwitchFlag("--write-baseline",
+                "rewrite the baseline to accept every current finding"),
+     SwitchFlag("--fix", "apply mechanical fixes, rewrite LOCK_ORDER.md"),
+     SwitchFlag("--list-rules", "print every rule (semantic + lint) and exit")},
+    "Suppress a finding with a trailing comment on (or directly above) the "
+    "line:\n  // xicc-lint: allow(rule-name)"};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string root = ".";
-  std::string format = "text";
-  std::string baseline_path;
-  bool fix = false;
-  bool write_baseline = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string* value = std::strcmp(argv[i], "--root") == 0 ? &root
-                         : std::strcmp(argv[i], "--format") == 0 ? &format
-                         : std::strcmp(argv[i], "--baseline") == 0
-                             ? &baseline_path
-                             : nullptr;
-    if (value != nullptr) {
-      if (i + 1 == argc) {
-        std::cerr << argv[i] << " needs a value\n" << kUsage;
-        return 2;
-      }
-      *value = argv[++i];
-    } else if (std::strncmp(argv[i], "--format=", 9) == 0) {
-      format = argv[i] + 9;
-    } else if (std::strcmp(argv[i], "--write-baseline") == 0) {
-      write_baseline = true;
-    } else if (std::strcmp(argv[i], "--fix") == 0) {
-      fix = true;
-    } else if (std::strcmp(argv[i], "--list-rules") == 0) {
-      for (const xicc::LintRuleInfo& rule : xicc::AnalyzeRules()) {
-        std::cout << rule.name << (rule.fixable ? "  [fixable]" : "")
-                  << "\n    " << rule.summary << "\n";
-      }
-      for (const xicc::LintRuleInfo& rule : xicc::LintRules()) {
-        std::cout << rule.name << (rule.fixable ? "  [fixable]" : "")
-                  << "\n    " << rule.summary << "\n";
-      }
-      return 0;
-    } else if (std::strcmp(argv[i], "--help") == 0 ||
-               std::strcmp(argv[i], "-h") == 0) {
-      std::cout << kUsage;
-      return 0;
-    } else {
-      std::cerr << "unknown argument '" << argv[i] << "'\n" << kUsage;
-      return 2;
-    }
-  }
-  if (format != "text" && format != "json") {
-    std::cerr << "unknown --format '" << format << "'\n" << kUsage;
+  auto flags = xicc::tools::ParseFlags(
+      kAnalyze, std::vector<std::string>(argv + 1, argv + argc));
+  if (!flags.ok()) {
+    std::cerr << "xicc_analyze: " << flags.status().message() << "\n";
     return 2;
   }
-  if (baseline_path.empty()) {
-    baseline_path = root + "/ANALYZE_BASELINE.txt";
+  if (flags->help) {
+    std::cout << xicc::tools::RenderUsage(kAnalyze);
+    return 0;
   }
+  if (flags->Has("--list-rules")) {
+    for (const auto* rules : {&xicc::AnalyzeRules(), &xicc::LintRules()}) {
+      for (const xicc::LintRuleInfo& rule : *rules) {
+        std::cout << rule.name << (rule.fixable ? "  [fixable]" : "")
+                  << "\n    " << rule.summary << "\n";
+      }
+    }
+    return 0;
+  }
+  const std::string root = flags->Str("--root", ".");
+  const std::string format = flags->Str("--format", "text");
+  if (format != "text" && format != "json") {
+    std::cerr << "xicc_analyze: unknown --format '" << format
+              << "' (run `xicc_analyze --help` for usage)\n";
+    return 2;
+  }
+  std::string baseline_path = flags->Str("--baseline");
+  if (baseline_path.empty()) baseline_path = root + "/ANALYZE_BASELINE.txt";
 
-  xicc::Result<xicc::AnalyzeRunReport> run = xicc::AnalyzeRepo(root, fix);
+  xicc::Result<xicc::AnalyzeRunReport> run =
+      xicc::AnalyzeRepo(root, flags->Has("--fix"));
   if (!run.ok()) {
     std::cerr << "xicc_analyze: " << run.status() << "\n";
     return 2;
   }
 
-  if (write_baseline) {
+  if (flags->Has("--write-baseline")) {
     std::ofstream out(baseline_path, std::ios::binary | std::ios::trunc);
     if (!out) {
       std::cerr << "xicc_analyze: cannot write '" << baseline_path << "'\n";

@@ -12,22 +12,38 @@
 #include <vector>
 
 #include "net/server.h"
-#include "tools/cli.h"
+#include "tools/flags.h"
 
 namespace {
 
-constexpr const char kUsage[] =
-    "usage: xiccd [--port N] [--workers N] [--max-connections N]\n"
-    "             [--max-inflight N] [--per-connection-inflight N]\n"
-    "             [--max-sessions N] [--memo N] [--artifact-cache DIR]\n"
-    "             [--idle-session-ttl-ms N] [--quarantine-faults N]\n"
-    "             [--max-timeout-ms N] [--drain-deadline-ms N]\n"
-    "             [--retry-after-ms N] [--max-line-bytes N] [--print-port]\n"
-    "\n"
+using xicc::tools::IntFlag;
+using xicc::tools::StringFlag;
+using xicc::tools::SwitchFlag;
+
+// Each flag maps onto the net::ServerOptions field of the same meaning.
+const xicc::tools::Command kXiccd = {
+    "xiccd",
+    {},
+    {IntFlag("--port", 0, "loopback port (0: an ephemeral port)", 65535),
+     IntFlag("--workers", 0, "worker threads (0: hardware concurrency)"),
+     IntFlag("--max-connections", 1, "connection cap; excess are shed"),
+     IntFlag("--max-inflight", 0, "in-flight request cap (0: 4 x workers)"),
+     IntFlag("--per-connection-inflight", 0,
+             "pipelined requests per connection (0: 1)"),
+     IntFlag("--max-sessions", 1, "session-table capacity"),
+     IntFlag("--memo", 0, "session/one-shot memo capacity (0: bypass)"),
+     StringFlag("--artifact-cache", "DIR",
+                "compiled-DTD artifact directory (default: memory only)"),
+     IntFlag("--idle-session-ttl-ms", 0, "evict after N idle ms (0: never)"),
+     IntFlag("--quarantine-faults", 0, "quarantine after N faults (0: never)"),
+     IntFlag("--max-timeout-ms", 0, "request timeout ceiling (0: none)"),
+     IntFlag("--drain-deadline-ms", 0, "shutdown grace for in-flight work"),
+     IntFlag("--retry-after-ms", 0, "retry hint when shedding (0: none)"),
+     IntFlag("--max-line-bytes", 1, "largest request frame, in bytes"),
+     SwitchFlag("--print-port", "print just the port number on line one")},
     "Serves the xicc consistency/implication engine over newline-delimited\n"
     "JSON on 127.0.0.1:<port> (default: an ephemeral port, printed at\n"
-    "startup). SIGTERM/SIGINT drains gracefully. Every numeric flag takes\n"
-    "a non-negative integer.\n";
+    "startup). SIGTERM/SIGINT drains gracefully."};
 
 xicc::net::Server* g_server = nullptr;
 
@@ -40,97 +56,33 @@ void HandleSignal(int /*sig*/) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  xicc::net::ServerOptions options;
-  bool print_port = false;
-
-  std::vector<std::string> args(argv + 1, argv + argc);
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto next = [&](std::string* value) {
-      if (i + 1 >= args.size()) return false;
-      *value = args[++i];
-      return true;
-    };
-    auto numeric = [&](int64_t* out) {
-      std::string value;
-      if (!next(&value)) {
-        std::fprintf(stderr, "xiccd: %s needs a value\n%s", arg.c_str(),
-                     kUsage);
-        return false;
-      }
-      // A daemon must not "helpfully" reinterpret a typo'd limit as some
-      // other limit: negatives, junk and overflow are all rejected.
-      auto parsed = xicc::tools::ParseIntFlag("xiccd", arg, value, 0,
-                                              "a non-negative integer");
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "xiccd: %s\n",
-                     std::string(parsed.status().message()).c_str());
-        return false;
-      }
-      *out = *parsed;
-      return true;
-    };
-    int64_t v = 0;
-    if (arg == "--help" || arg == "-h") {
-      std::fputs(kUsage, stdout);
-      return 0;
-    } else if (arg == "--print-port") {
-      print_port = true;
-    } else if (arg == "--port") {
-      if (!numeric(&v)) return 2;
-      if (v > 65535) {
-        std::fprintf(stderr, "xiccd: --port must be <= 65535\n%s", kUsage);
-        return 2;
-      }
-      options.port = static_cast<uint16_t>(v);
-    } else if (arg == "--workers") {
-      if (!numeric(&v)) return 2;
-      options.workers = static_cast<size_t>(v);
-    } else if (arg == "--max-connections") {
-      if (!numeric(&v)) return 2;
-      options.max_connections = static_cast<size_t>(v);
-    } else if (arg == "--max-inflight") {
-      if (!numeric(&v)) return 2;
-      options.max_inflight = static_cast<size_t>(v);
-    } else if (arg == "--per-connection-inflight") {
-      if (!numeric(&v)) return 2;
-      options.per_connection_inflight = static_cast<size_t>(v);
-    } else if (arg == "--max-sessions") {
-      if (!numeric(&v)) return 2;
-      options.max_sessions = static_cast<size_t>(v);
-    } else if (arg == "--memo") {
-      if (!numeric(&v)) return 2;
-      options.memo_capacity = static_cast<size_t>(v);
-    } else if (arg == "--artifact-cache") {
-      if (!next(&options.artifact_dir)) {
-        std::fprintf(stderr, "xiccd: --artifact-cache needs a directory\n%s",
-                     kUsage);
-        return 2;
-      }
-    } else if (arg == "--idle-session-ttl-ms") {
-      if (!numeric(&v)) return 2;
-      options.idle_session_ttl_ms = v;
-    } else if (arg == "--quarantine-faults") {
-      if (!numeric(&v)) return 2;
-      options.quarantine_after_faults = static_cast<size_t>(v);
-    } else if (arg == "--max-timeout-ms") {
-      if (!numeric(&v)) return 2;
-      options.max_timeout_ms = v;
-    } else if (arg == "--drain-deadline-ms") {
-      if (!numeric(&v)) return 2;
-      options.drain_deadline_ms = v;
-    } else if (arg == "--retry-after-ms") {
-      if (!numeric(&v)) return 2;
-      options.retry_after_ms = v;
-    } else if (arg == "--max-line-bytes") {
-      if (!numeric(&v)) return 2;
-      options.max_line_bytes = static_cast<size_t>(v);
-    } else {
-      std::fprintf(stderr, "xiccd: unknown flag \"%s\"\n%s", arg.c_str(),
-                   kUsage);
-      return 2;
-    }
+  auto flags =
+      xicc::tools::ParseFlags(kXiccd, std::vector<std::string>(argv + 1,
+                                                               argv + argc));
+  if (!flags.ok()) {
+    std::fprintf(stderr, "xiccd: %s\n", flags.status().message().c_str());
+    return 2;
   }
+  if (flags->help) {
+    std::fputs(xicc::tools::RenderUsage(kXiccd).c_str(), stdout);
+    return 0;
+  }
+  xicc::net::ServerOptions options;
+  flags->Assign("--port", &options.port);
+  flags->Assign("--workers", &options.workers);
+  flags->Assign("--max-connections", &options.max_connections);
+  flags->Assign("--max-inflight", &options.max_inflight);
+  flags->Assign("--per-connection-inflight", &options.per_connection_inflight);
+  flags->Assign("--max-sessions", &options.max_sessions);
+  flags->Assign("--memo", &options.memo_capacity);
+  options.artifact_dir = flags->Str("--artifact-cache");
+  flags->Assign("--idle-session-ttl-ms", &options.idle_session_ttl_ms);
+  flags->Assign("--quarantine-faults", &options.quarantine_after_faults);
+  flags->Assign("--max-timeout-ms", &options.max_timeout_ms);
+  flags->Assign("--drain-deadline-ms", &options.drain_deadline_ms);
+  flags->Assign("--retry-after-ms", &options.retry_after_ms);
+  flags->Assign("--max-line-bytes", &options.max_line_bytes);
+  const bool print_port = flags->Has("--print-port");
 
   auto server = xicc::net::Server::Start(options);
   if (!server.ok()) {

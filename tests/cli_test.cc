@@ -242,6 +242,26 @@ TEST_F(CliTest, IdrefsTranslation) {
   EXPECT_NE(out_.str().find("loan.of <= book.isbn"), std::string::npos);
 }
 
+// Every command parses its flags from one table: an unknown flag is a
+// usage error naming the flag (never a file name or an arity complaint),
+// and `<cmd> --help` prints that command's synopsis.
+TEST_F(CliTest, EveryCommandRejectsUnknownFlagsAndHasHelp) {
+  for (const char* command :
+       {"check", "batch", "compile", "implies", "validate", "witness",
+        "classify", "simplify", "encode", "closure", "equiv", "idrefs"}) {
+    EXPECT_EQ(Run({command, dtd_path_, "--bogus"}), 2) << command;
+    EXPECT_NE(err_.str().find("--bogus"), std::string::npos)
+        << command << ": " << err_.str();
+    EXPECT_NE(err_.str().find("usage"), std::string::npos)
+        << command << ": " << err_.str();
+
+    EXPECT_EQ(Run({command, "--help"}), 0) << command << ": " << err_.str();
+    EXPECT_NE(out_.str().find(std::string("usage: xicc ") + command + " <"),
+              std::string::npos)
+        << command << ": " << out_.str();
+  }
+}
+
 // ------------------------------------------------------- --stats output.
 
 // The line of `text` that starts with `prefix`, or "" when there is none.
@@ -413,6 +433,31 @@ TEST_F(CliFlagTest, ValidFlagsStillWork) {
   EXPECT_NE(out_.str().find(": consistent"), std::string::npos) << out_.str();
   EXPECT_NE(out_.str().find(": inconsistent"), std::string::npos)
       << out_.str();
+}
+
+// `--name=value` is the same flag as `--name value`.
+TEST_F(CliFlagTest, EqualsFormMatchesSpaceForm) {
+  const std::string witness_path = dir_ + ".eq.witness.xml";
+  auto read_witness = [&] {
+    std::ifstream in(witness_path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+  };
+  EXPECT_EQ(Run({"check", dtd_path_, sigma_path_, "--timeout-ms", "30000",
+                 "--witness", witness_path}),
+            0);
+  const std::string spaced_out = out_.str();
+  const std::string spaced_witness = read_witness();
+  ASSERT_NE(spaced_witness, "");
+  std::remove(witness_path.c_str());
+
+  EXPECT_EQ(Run({"check", dtd_path_, sigma_path_, "--timeout-ms=30000",
+                 "--witness=" + witness_path}),
+            0)
+      << err_.str();
+  EXPECT_EQ(out_.str(), spaced_out);
+  EXPECT_EQ(read_witness(), spaced_witness);
 }
 
 }  // namespace
