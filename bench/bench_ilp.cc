@@ -101,9 +101,10 @@ void RunLpSection(bench::JsonReport& report) {
     const double promo_rate =  // xicc-lint: allow(exact-arithmetic)
         small_ops > 0 ? static_cast<double>(promotions) / small_ops : 0.0;
     const double nnz_density =  // xicc-lint: allow(exact-arithmetic)
-        kept.total_cells > 0
-            ? static_cast<double>(kept.nnz_cells) / kept.total_cells
-            : 0.0;
+        kept.kernel.total_cells > 0 ? static_cast<double>(
+                                          kept.kernel.nnz_cells) /
+                                          kept.kernel.total_cells
+                                    : 0.0;
     std::printf("%16s %8zu %8zu %12.3f %12.3f %12zu %9.2fx %9.2fx %8.4f\n",
                 c.name, sys.NumConstraints(), sys.NumVariables(), ms, dense_ms,
                 kept.pivots, base > 0 ? base / ms : 0.0, speedup_vs_dense,
@@ -116,13 +117,13 @@ void RunLpSection(bench::JsonReport& report) {
         .Set("dense_time_ms", dense_ms)
         .Set("speedup_vs_dense_x", speedup_vs_dense)
         .Set("pivots", kept.pivots)
-        .Set("dantzig_pivots", kept.dantzig_pivots)
-        .Set("bland_pivots", kept.bland_pivots)
-        .Set("bland_fallbacks", kept.bland_fallbacks)
+        .Set("dantzig_pivots", kept.kernel.dantzig_pivots)
+        .Set("bland_pivots", kept.kernel.bland_pivots)
+        .Set("bland_fallbacks", kept.kernel.bland_fallbacks)
         .Set("nnz_density", nnz_density)
-        .Set("fill_in", kept.fill_in)
-        .Set("fast_rows", kept.fast_rows)
-        .Set("fast_row_promotions", kept.fast_row_promotions)
+        .Set("fill_in", kept.kernel.fill_in)
+        .Set("fast_rows", kept.kernel.fast_rows)
+        .Set("fast_row_promotions", kept.kernel.fast_row_promotions)
         .Set("verdicts_identical", dense_feasible == kept.feasible)
         .Set("pr3_baseline_ms", base)
         .Set("speedup_vs_pr3_x", base > 0 ? base / ms : 0.0)

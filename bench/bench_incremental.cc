@@ -353,11 +353,11 @@ void RunMultiDtdBatch(bench::JsonReport& report) {
 void RunDeadlineDegradation(bench::JsonReport& report) {
   bench::Header("degraded batch: 50 ms per-item deadline over a spiked mix");
   // The mix: feasible Σ's plus one deliberately exploding multi-split LIP
-  // encoding (hundreds of ms unrestrained). Under a 50 ms per-item deadline
+  // encoding (about a second unrestrained). Under a 50 ms per-item deadline
   // the batch must quarantine the spike and finish everything else — CI's
   // bench-smoke gates on the wall clock staying under 2 s.
   workloads::LipEncoding spike = workloads::EncodeLipAsConsistency(
-      workloads::RandomLip(/*seed=*/3, /*rows=*/12, /*cols=*/24,
+      workloads::RandomLip(/*seed=*/3, /*rows=*/30, /*cols=*/60,
                            /*ones_per_row=*/3));
   auto compiled = CompileDtd(spike.dtd);
   if (!compiled.ok()) std::abort();

@@ -25,7 +25,6 @@ const std::set<std::string>& WorkAnchors() {
       "SolveIlp",
       "SolveLpFeasibility",
       "ReSolveLpFeasibilityDual",
-      "ReSolveLpFeasibilityDualInPlace",
       "CheckConsistency",
       "CheckImplication",
       "CheckDelta",

@@ -153,27 +153,23 @@ Result<NumFlatView> ReadNumFlat(serde::Cursor& cursor,
   return view;
 }
 
-// Decodes `count` slots starting at flat index `base` into `out` (appends;
-// caller reserves). The d > 0 fast path is the whole cost of a warm tableau
-// load, so it stays branch-lean: one comparison pair per slot.
-Status AppendNumSlots(const NumFlatView& view, size_t base, size_t count,
-                      std::vector<Num>* out) {
-  for (size_t i = 0; i < count; ++i) {
-    const RawNum& slot = view.raw[base + i];
-    if (slot.d > 0 && slot.n != INT64_MIN) {
-      out->push_back(Num::FromCanonicalWords(slot.n, slot.d));
-      continue;
-    }
-    if (slot.d != 0) {
-      return Status::InvalidArgument("artifact Num words are not canonical");
-    }
-    auto it = view.escapes.find(base + i);
-    if (it == view.escapes.end()) {
-      return Status::InvalidArgument(
-          "artifact Num escape missing for flat slot");
-    }
-    out->push_back(it->second);
+// Decodes flat slot `index` into `*out`. The d > 0 fast path is the whole
+// cost of a warm tableau load, so it stays branch-lean: one comparison pair
+// per slot.
+Status DecodeNumSlot(const NumFlatView& view, size_t index, Num* out) {
+  const RawNum& slot = view.raw[index];
+  if (slot.d > 0 && slot.n != INT64_MIN) {
+    *out = Num::FromCanonicalWords(slot.n, slot.d);
+    return Status::Ok();
   }
+  if (slot.d != 0) {
+    return Status::InvalidArgument("artifact Num words are not canonical");
+  }
+  auto it = view.escapes.find(index);
+  if (it == view.escapes.end()) {
+    return Status::InvalidArgument("artifact Num escape missing for flat slot");
+  }
+  *out = it->second;
   return Status::Ok();
 }
 
@@ -181,9 +177,10 @@ Result<std::vector<Num>> ReadNumArray(serde::Cursor& cursor,
                                       int64_t expected_count) {
   XICC_ASSIGN_OR_RETURN(NumFlatView view,
                         ReadNumFlat(cursor, expected_count));
-  std::vector<Num> out;
-  out.reserve(view.count);
-  XICC_RETURN_IF_ERROR(AppendNumSlots(view, 0, view.count, &out));
+  std::vector<Num> out(view.count);
+  for (size_t i = 0; i < view.count; ++i) {
+    XICC_RETURN_IF_ERROR(DecodeNumSlot(view, i, &out[i]));
+  }
   return out;
 }
 
@@ -710,14 +707,22 @@ Status WriteTableau(serde::Writer& w, const LpTableau& tableau) {
   for (const Num& value : tableau.rhs) rhs.Append(value);
   WriteNumArray(w, rhs);
 
-  NumArrayEnc cells;
-  for (const std::vector<Num>& row : tableau.rows) {
-    if (row.size() != cols) {
-      return Status::Internal("tableau row width skew at serialization");
+  // Rows as their nonzeros: per-row entry counts, then every entry's column
+  // and value in row order.
+  std::vector<uint32_t> counts;
+  std::vector<int32_t> entry_cols;
+  NumArrayEnc values;
+  counts.reserve(rows);
+  for (const LpRow& row : tableau.rows) {
+    counts.push_back(static_cast<uint32_t>(row.size()));
+    for (const LpEntry& entry : row) {
+      entry_cols.push_back(entry.col);
+      values.Append(entry.value);
     }
-    for (const Num& value : row) cells.Append(value);
   }
-  WriteNumArray(w, cells);
+  w.FlatArray(counts.data(), counts.size());
+  w.FlatArray(entry_cols.data(), entry_cols.size());
+  WriteNumArray(w, values);
   return Status::Ok();
 }
 
@@ -766,19 +771,45 @@ Result<LpTableau> ReadTableau(serde::Cursor& cursor) {
   XICC_ASSIGN_OR_RETURN(tableau.rhs,
                         ReadNumArray(cursor,
                                      static_cast<int64_t>(row_count)));
-  // Cells decode straight from the flat block into the row-major tableau —
-  // no intermediate vector, no second pass of Num moves. This loop is the
-  // bulk of a warm load on bench-sized DTDs.
+  // Rows: entry counts, then columns and values. Artifacts are outside
+  // input, so every row must be strictly increasing in range with no stored
+  // zero — the invariant the warm re-solve reads "absent = zero" from.
+  size_t count_rows = 0;
+  const uint32_t* counts = cursor.FlatArray<uint32_t>(
+      &count_rows, static_cast<int64_t>(row_count));
+  if (!cursor.status().ok()) return cursor.status();
+  uint64_t entry_count = 0;
+  for (size_t r = 0; r < count_rows; ++r) entry_count += counts[r];
+  if (entry_count > kMaxDim) {
+    return Status::InvalidArgument("artifact tableau entry count implausible");
+  }
+  size_t col_slots = 0;
+  const int32_t* entry_cols = cursor.FlatArray<int32_t>(
+      &col_slots, static_cast<int64_t>(entry_count));
+  if (!cursor.status().ok()) return cursor.status();
   XICC_ASSIGN_OR_RETURN(
-      NumFlatView cells,
-      ReadNumFlat(cursor, static_cast<int64_t>(row_count * col_count)));
-  tableau.rows.reserve(row_count);
+      NumFlatView values,
+      ReadNumFlat(cursor, static_cast<int64_t>(entry_count)));
+  tableau.rows.resize(row_count);
+  size_t next = 0;
   for (uint64_t r = 0; r < row_count; ++r) {
-    std::vector<Num> row;
-    row.reserve(col_count);
-    XICC_RETURN_IF_ERROR(
-        AppendNumSlots(cells, r * col_count, col_count, &row));
-    tableau.rows.push_back(std::move(row));
+    LpRow& row = tableau.rows[r];
+    row.resize(counts[r]);
+    int32_t prev = -1;
+    for (LpEntry& entry : row) {
+      const int32_t col = entry_cols[next];
+      if (col <= prev || static_cast<size_t>(col) >= col_count) {
+        return Status::InvalidArgument(
+            "artifact tableau row columns unsorted or out of range");
+      }
+      prev = col;
+      entry.col = col;
+      XICC_RETURN_IF_ERROR(DecodeNumSlot(values, next, &entry.value));
+      if (entry.value.is_zero()) {
+        return Status::InvalidArgument("artifact tableau stores a zero cell");
+      }
+      ++next;
+    }
   }
   return tableau;
 }
@@ -824,7 +855,6 @@ Result<std::string> SerializeCompiledDtd(const CompiledDtd& compiled) {
   w.EndSection();
   w.BeginSection(kSecMeta);
   w.Bool(compiled.skeleton_tableau_valid);
-  w.F64(compiled.compile_ms);
   w.U64(compiled.audit_digest);
   w.EndSection();
   return std::move(w).Finish();
@@ -876,14 +906,13 @@ Result<std::shared_ptr<const CompiledDtd>> DeserializeCompiledDtd(
   XICC_ASSIGN_OR_RETURN(serde::Cursor meta_cursor,
                         reader.Section(kSecMeta, "artifact meta"));
   const bool tableau_valid = meta_cursor.Bool();
-  const double compile_ms =  // xicc-lint: allow(exact-arithmetic)
-      meta_cursor.F64();
   const uint64_t stored_digest = meta_cursor.U64();
   XICC_RETURN_IF_ERROR(meta_cursor.Finish());
 
   auto out = std::make_shared<CompiledDtd>(CompiledDtd{
       std::move(dtd), std::move(facts), std::move(models), std::move(plan),
-      std::move(skeleton), std::move(tableau), tableau_valid, compile_ms, 0});
+      std::move(skeleton), std::move(tableau), tableau_valid,
+      /*compile_ms=*/0.0, 0});
 
   // Layer 3 (kDeep only): recompute the semantic digest over the decoded
   // skeleton system, variable tables, tableau, and facts and demand

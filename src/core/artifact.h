@@ -44,7 +44,7 @@ namespace xicc {
 /// Bump on ANY change to the serialized layout; readers reject other
 /// versions and the cache treats them as misses (the version is part of the
 /// cache file name, so old artifacts are simply never opened).
-inline constexpr uint32_t kArtifactFormatVersion = 1;
+inline constexpr uint32_t kArtifactFormatVersion = 2;
 
 /// FNV-1a 64 over the DTD's canonical rendering — the artifact cache key.
 /// Two DTDs with the same declarations (same order, same content models)

@@ -58,10 +58,11 @@ uint64_t CompiledDtdDigest(const CompiledDtd& compiled) {
   d.U64(tab.basis.size());
   for (int b : tab.basis) d.U64(static_cast<uint64_t>(static_cast<int64_t>(b)));
   for (const Num& r : tab.rhs) d.Str(r.ToString());
-  for (const std::vector<Num>& row : tab.rows) {
-    for (const Num& r : row) {
-      if (!r.is_zero()) d.Str(r.ToString());
-      d.U64(r.is_zero() ? 0 : 1);
+  for (const LpRow& row : tab.rows) {
+    d.U64(row.size());
+    for (const LpEntry& entry : row) {
+      d.U64(static_cast<uint64_t>(static_cast<int64_t>(entry.col)));
+      d.Str(entry.value.ToString());
     }
   }
 

@@ -78,7 +78,7 @@ class SplitWorker {
     if (parent != nullptr && shared_->options.warm_start) {
       tab = *parent;
       WarmResult warm =
-          ReSolveLpFeasibilityDualInPlace(*system_, &tab, shared_->stop);
+          ReSolveLpFeasibilityDual(*system_, &tab, shared_->stop);
       counters.AddLp(warm.lp);
       if (warm.status == WarmStatus::kAborted) {
         shared_->stopped.store(true, std::memory_order_relaxed);
@@ -213,7 +213,7 @@ class CaseSplitSolver {
     // copy. `base_tab` (the solver's own mutable basis for presolve and the
     // DFS) is only materialized if the leaf fails to settle the query, which
     // keeps the common consistent-spec round at a single tableau duplication
-    // (the leaf root's, into the context's capacity-warmed scratch).
+    // (the leaf root's).
     LpTableau base_tab;
     const LpTableau* base_ro = nullptr;
     bool tab_ok = false;
@@ -245,9 +245,6 @@ class CaseSplitSolver {
         work_->AddConstraint(cond.conclusion, RelOp::kGe, BigInt(1));
       }
       IlpOptions leaf_options = options_;
-      if (warm_ != nullptr && leaf_options.root_scratch == nullptr) {
-        leaf_options.root_scratch = &warm_->root_scratch;
-      }
       // Private partial sink: a stopped leaf's work must fold into THIS
       // solver's totals before they reach the caller's partial pointer.
       IlpSolution leaf_partial;
@@ -290,9 +287,12 @@ class CaseSplitSolver {
       work_->AddConstraint(cond.conclusion, RelOp::kGe, BigInt(1));
       if (tab_ok && options_.warm_start) {
         // Extend the working basis over the freshly forced row so later
-        // probes and the DFS root stay warm; on failure the basis simply
-        // keeps covering its old prefix (still a valid warm seed).
-        WarmResult warm = ReSolveLpFeasibilityDual(*work_, &base_tab, stop_);
+        // probes and the DFS root stay warm. The re-solve runs on a copy
+        // that replaces the basis only on a feasible verdict; on failure the
+        // basis simply keeps covering its old prefix (still a valid warm
+        // seed).
+        LpTableau extended = base_tab;
+        WarmResult warm = ReSolveLpFeasibilityDual(*work_, &extended, stop_);
         counters_.AddLp(warm.lp);
         if (warm.status == WarmStatus::kAborted) {
           return NoVerdict(stop_->ToStatus());
@@ -302,6 +302,7 @@ class CaseSplitSolver {
           // Forced conclusions hold in every solution satisfying the
           // conditionals, so their joint infeasibility settles the verdict.
           if (!warm.lp.feasible) return Finish(IlpSolution());
+          base_tab = std::move(extended);
         }
       }
     }
@@ -312,9 +313,8 @@ class CaseSplitSolver {
     shared.active = &active_;
     shared.options = options_;
     shared.stop = stop_;
-    // DFS leaf solves may run on pool threads — a shared scratch or a shared
-    // partial sink would race; workers keep private ones.
-    shared.options.root_scratch = nullptr;
+    // DFS leaf solves may run on pool threads — a shared partial sink would
+    // race; workers keep private ones.
     shared.options.partial = nullptr;
     RunSearch(&base_tab, tab_ok, &shared);
     counters_.ilp_nodes += shared.nodes.load();
@@ -358,7 +358,7 @@ class CaseSplitSolver {
   bool ProbeLp(const LpTableau& base_tab, bool tab_ok) {
     if (tab_ok && options_.warm_start) {
       LpTableau probe = base_tab;
-      WarmResult warm = ReSolveLpFeasibilityDualInPlace(*work_, &probe, stop_);
+      WarmResult warm = ReSolveLpFeasibilityDual(*work_, &probe, stop_);
       counters_.AddLp(warm.lp);
       if (warm.status == WarmStatus::kAborted) {
         stopped_ = true;

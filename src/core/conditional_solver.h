@@ -26,12 +26,6 @@ struct Conditional {
 struct CaseSplitWarmContext {
   LpTableau base_tableau;
   bool valid = false;
-  /// Scratch the optimistic-leaf solve's root node copies `base_tableau`
-  /// into (see IlpOptions::root_scratch). Lives here so its vector capacity
-  /// persists across the context's many solves; never touched by the
-  /// parallel DFS workers, so single-ownership follows from the context's
-  /// own one-thread contract.
-  LpTableau root_scratch;
 };
 
 /// Decides feasibility of `base` (nonnegative integers) subject to the

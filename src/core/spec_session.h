@@ -50,7 +50,9 @@ struct CompiledDtd {
   /// because the skeleton rows form a prefix of every session system.
   LpTableau skeleton_tableau;
   bool skeleton_tableau_valid = false;
-  /// Wall time CompileDtd spent, for the compile-vs-query ablation.
+  /// Wall time CompileDtd spent, for the compile-vs-query ablation. Not
+  /// serialized (artifacts stay byte-reproducible): a loaded bundle reports
+  /// 0, and its cost is the load time.
   double compile_ms = 0.0;  // xicc-lint: allow(exact-arithmetic)
   /// Content digest stamped by CompileDtd (core/audit.h); XICC_AUDIT builds
   /// re-check it before and after every session query to machine-check the

@@ -118,12 +118,9 @@ std::vector<std::string> AuditTableau(const LinearSystem& system,
 
   std::vector<int> basic_in(cols, -1);
   for (size_t i = 0; i < m; ++i) {
-    if (tableau.rows[i].size() != cols) {
-      out.push_back("row " + std::to_string(i) + " has " +
-                    std::to_string(tableau.rows[i].size()) +
-                    " cells for " + std::to_string(cols) + " columns");
-      return out;
-    }
+    std::vector<std::string> row_out =
+        AuditRowSupport(tableau.rows[i], cols, i);
+    out.insert(out.end(), row_out.begin(), row_out.end());
     const int b = tableau.basis[i];
     if (b >= static_cast<int>(cols)) {
       out.push_back("basis entry " + std::to_string(i) +
@@ -150,21 +147,29 @@ std::vector<std::string> AuditTableau(const LinearSystem& system,
 
   // Unit-column property: a basic column carries 1 in its own row and 0
   // everywhere else — the algebraic core of "x_B = rhs − Σ nonbasic terms".
+  // One walk over the entries; it needs no sorted rows, so it stays sound
+  // on rows AuditRowSupport has already rejected.
   const Num one(1);
-  for (size_t j = 0; j < cols; ++j) {
-    if (basic_in[j] < 0) continue;
-    for (size_t i = 0; i < m; ++i) {
-      const Num& cell = tableau.rows[i][j];
-      if (i == static_cast<size_t>(basic_in[j])) {
-        if (!(cell == one)) {
-          out.push_back("basic column " + std::to_string(j) +
-                        " is not unit in its own row " + std::to_string(i));
-        }
-      } else if (!cell.is_zero()) {
-        out.push_back("basic column " + std::to_string(j) +
+  std::vector<bool> unit_in_own_row(cols, false);
+  for (size_t i = 0; i < m; ++i) {
+    for (const LpEntry& entry : tableau.rows[i]) {
+      if (entry.col < 0 || static_cast<size_t>(entry.col) >= cols) continue;
+      const int owner = basic_in[static_cast<size_t>(entry.col)];
+      if (owner < 0) continue;
+      if (static_cast<size_t>(owner) != i) {
+        out.push_back("basic column " + std::to_string(entry.col) +
                       " has a nonzero entry outside its row, at " +
-                      RowCol(i, j));
+                      RowCol(i, static_cast<size_t>(entry.col)));
+      } else if (entry.value == one) {
+        unit_in_own_row[static_cast<size_t>(entry.col)] = true;
       }
+    }
+  }
+  for (size_t j = 0; j < cols; ++j) {
+    if (basic_in[j] >= 0 && !unit_in_own_row[j]) {
+      out.push_back("basic column " + std::to_string(j) +
+                    " is not unit in its own row " +
+                    std::to_string(basic_in[j]));
     }
   }
 
@@ -174,8 +179,8 @@ std::vector<std::string> AuditTableau(const LinearSystem& system,
                     " (an infeasible re-solve leaked into a kept tableau)");
     }
     CheckCell(tableau.rhs[i], "rhs of row " + std::to_string(i), &out);
-    for (size_t j = 0; j < cols; ++j) {
-      CheckCell(tableau.rows[i][j], RowCol(i, j), &out);
+    for (const LpEntry& entry : tableau.rows[i]) {
+      CheckCell(entry.value, RowCol(i, static_cast<size_t>(entry.col)), &out);
     }
   }
   return out;
@@ -213,35 +218,27 @@ std::vector<std::string> AuditFastLaneOp(char op, internal::Word a,
   return out;
 }
 
-std::vector<std::string> AuditRowSupport(const std::vector<Num>& cells,
-                                         size_t width,
-                                         const std::vector<int>& support,
-                                         size_t row) {
+std::vector<std::string> AuditRowSupport(const LpRow& row, size_t width,
+                                         size_t row_index) {
   std::vector<std::string> out;
-  std::vector<bool> listed(width, false);
   int prev = -1;
-  for (int j : support) {
+  for (const LpEntry& entry : row) {
+    const int j = entry.col;
     if (j <= prev) {
-      out.push_back("support of row " + std::to_string(row) +
-                    " is not strictly increasing at column " +
+      out.push_back("entries of row " + std::to_string(row_index) +
+                    " are not strictly increasing at column " +
                     std::to_string(j));
     }
     prev = j;
     if (j < 0 || static_cast<size_t>(j) >= width) {
-      out.push_back("support of row " + std::to_string(row) +
-                    " names column " + std::to_string(j) + " outside width " +
+      out.push_back("row " + std::to_string(row_index) + " names column " +
+                    std::to_string(j) + " outside width " +
                     std::to_string(width));
       continue;
     }
-    listed[static_cast<size_t>(j)] = true;
-    if (cells[static_cast<size_t>(j)].is_zero()) {
-      out.push_back("zero cell listed in support at " + RowCol(row, j));
-    }
-  }
-  for (size_t j = 0; j < width; ++j) {
-    if (!listed[j] && !cells[j].is_zero()) {
-      out.push_back("nonzero cell missing from support at " +
-                    RowCol(row, j));
+    if (entry.value.is_zero()) {
+      out.push_back("zero cell stored at " +
+                    RowCol(row_index, static_cast<size_t>(j)));
     }
   }
   return out;

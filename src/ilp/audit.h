@@ -29,6 +29,7 @@ std::vector<std::string> AuditTrail(
 
 /// Consistency of a retained warm-start basis against the system it seeds:
 ///  - the tableau covers a row prefix of `system` and no unknown variables;
+///  - every row passes AuditRowSupport over the tableau's columns;
 ///  - column metadata is well formed (structural ids in range, slack rows in
 ///    range with a ±1 substitution sign);
 ///  - the basis is a valid simplex basis (each basic column is a unit
@@ -55,13 +56,10 @@ std::vector<std::string> AuditFastLaneOp(char op, internal::Word a,
                                          internal::Word d, internal::Word rn,
                                          internal::Word rd);
 
-/// Support-list invariant of one sparse kernel row: `support` holds strictly
-/// increasing column indices naming exactly the nonzero cells of
-/// `cells[0..width)` (the rhs cell sits past `width` and is tracked outside
-/// the supports).
-std::vector<std::string> AuditRowSupport(const std::vector<Num>& cells,
-                                         size_t width,
-                                         const std::vector<int>& support,
-                                         size_t row);
+/// Sparse-row invariant of one tableau or kernel row: entry columns are
+/// strictly increasing and inside [0, width), and no entry stores a zero —
+/// what lets an absent column mean a zero cell.
+std::vector<std::string> AuditRowSupport(const LpRow& row, size_t width,
+                                         size_t row_index);
 
 }  // namespace xicc

@@ -1,6 +1,8 @@
 #include "ilp/simplex.h"
 
+#include <algorithm>
 #include <cassert>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -105,7 +107,7 @@ class SparseKernel {
 
   /// Construction-time store. Rows start fast; only a coefficient outside
   /// the small domain promotes here.
-  void InitCell(size_t i, size_t j, const Num& value, LpResult* stats) {
+  void InitCell(size_t i, size_t j, const Num& value, LpKernelStats* stats) {
     if (exact_[i].empty()) {
       Word n = 0;
       Word d = 1;
@@ -122,7 +124,7 @@ class SparseKernel {
   /// One full pivot at (pivot_row, entering): normalize the pivot row, then
   /// eliminate the entering column from every other row (objective row
   /// included), walking only the pivot row's support.
-  void PivotApply(size_t pivot_row, size_t entering, LpResult* stats) {
+  void PivotApply(size_t pivot_row, size_t entering, LpKernelStats* stats) {
     ScaleRow(pivot_row, Get(pivot_row, entering), stats);
     for (size_t i = 0; i < rows_; ++i) {
       if (i == pivot_row) continue;
@@ -132,16 +134,29 @@ class SparseKernel {
     }
   }
 
-  /// Support + canonical-word invariants of every row, for XICC_DCHECK_AUDIT
-  /// at solve checkpoints.
+  /// Support invariants of every row, for XICC_DCHECK_AUDIT at solve
+  /// checkpoints: each support, read as a sparse row, passes
+  /// AuditRowSupport, and no nonzero cell is missing from it.
   std::vector<std::string> AuditSupports() const {
     std::vector<std::string> out;
-    std::vector<Num> dense(cols_);
+    const size_t width = cols_ - 1;  // The rhs cell sits outside supports.
     for (size_t i = 0; i < rows_; ++i) {
-      for (size_t j = 0; j < cols_; ++j) dense[j] = Get(i, j);
-      std::vector<std::string> row_out =
-          AuditRowSupport(dense, cols_ - 1, support_[i], i);
+      LpRow row;
+      for (int j : support_[i]) {
+        row.push_back({j, static_cast<size_t>(j) < width
+                              ? Get(i, static_cast<size_t>(j))
+                              : Num()});
+      }
+      std::vector<std::string> row_out = AuditRowSupport(row, width, i);
       out.insert(out.end(), row_out.begin(), row_out.end());
+      for (size_t j = 0; j < width; ++j) {
+        if (!IsZero(i, j) &&
+            !std::binary_search(support_[i].begin(), support_[i].end(),
+                                static_cast<int>(j))) {
+          out.push_back("nonzero cell missing from support at row " +
+                        std::to_string(i) + ", column " + std::to_string(j));
+        }
+      }
     }
     return out;
   }
@@ -151,7 +166,7 @@ class SparseKernel {
   Word* DenRow(size_t i) { return dens_.data() + i * cols_; }
 
   /// Whole-row fast→exact promotion; sticky for the rest of the solve.
-  void PromoteRow(size_t i, LpResult* stats) {
+  void PromoteRow(size_t i, LpKernelStats* stats) {
     std::vector<Num>& cells = exact_[i];
     cells.reserve(cols_);
     const Word* n = NumRow(i);
@@ -164,7 +179,7 @@ class SparseKernel {
 
   /// row /= pivot over the row's support and rhs. Support cells are nonzero
   /// by invariant, so the fast path runs no zero tests at all.
-  void ScaleRow(size_t i, const Num& pivot, LpResult* stats) {
+  void ScaleRow(size_t i, const Num& pivot, LpKernelStats* stats) {
     const std::vector<int>& sup = support_[i];
     const size_t rhs = cols_ - 1;
     size_t k = 0;  // Support cells [0, k) (then the rhs) already scaled.
@@ -201,7 +216,7 @@ class SparseKernel {
 
   /// row_i -= factor · row_p over row_p's support (+ rhs), then merges the
   /// supports and counts fill-in.
-  void AxpyRow(size_t i, size_t p, const Num& factor, LpResult* stats) {
+  void AxpyRow(size_t i, size_t p, const Num& factor, LpKernelStats* stats) {
     const std::vector<int>& psup = support_[p];
     const size_t rhs = cols_ - 1;
     size_t k = 0;  // Support cells [0, k) (then the rhs) already updated.
@@ -250,7 +265,7 @@ class SparseKernel {
   /// cancelled to zero. Cells only in support_i were untouched by the axpy
   /// and stay without a test; cells from support_p are tested, and the ones
   /// absent from support_i that came out nonzero are fill-in.
-  void MergeSupport(size_t i, size_t p, LpResult* stats) {
+  void MergeSupport(size_t i, size_t p, LpKernelStats* stats) {
     const std::vector<int>& a = support_[i];
     const std::vector<int>& b = support_[p];
     merge_scratch_.clear();
@@ -287,113 +302,76 @@ class SparseKernel {
 };
 
 // ---------------------------------------------------------------------------
-// Sparse overlay for the dual (warm) re-solves.
+// Sparse-row operations for the dual (warm) re-solve, which pivots directly
+// on an LpTableau's rows.
 // ---------------------------------------------------------------------------
 
-/// Transient sorted nonzero-column lists over caller-owned dense Num rows —
-/// the arena working copy for the copying re-solve, the LpTableau's own rows
-/// for the in-place one (which is how the in-place variant keeps its no-copy
-/// advantage). Built once at entry for the cost of a single dense sweep,
-/// then maintained incrementally so every dual pivot touches only nonzeros.
-/// The rhs cells live outside the supports, one pointer per row.
-class SparseDualView {
+/// The cell of `row` at column `col`, or null when it is zero (absent).
+const Num* FindCell(const LpRow& row, int col) {
+  auto it = std::lower_bound(
+      row.begin(), row.end(), col,
+      [](const LpEntry& entry, int c) { return entry.col < c; });
+  return it != row.end() && it->col == col ? &it->value : nullptr;
+}
+
+/// Row operations over one tableau. Every operation touches only the
+/// nonzeros of the rows it reads; a merged row is built in `merged_` and
+/// swapped in, so the replaced row's storage is reused by the next merge.
+class SparseRowOps {
  public:
-  SparseDualView(size_t rows, size_t width)
-      : width_(width), rows_(rows), rhs_(rows), support_(rows) {}
+  explicit SparseRowOps(LpTableau* tableau) : tab_(tableau) {}
 
-  void Attach(size_t i, Num* cells, Num* rhs) {
-    rows_[i] = cells;
-    rhs_[i] = rhs;
-  }
-
-  /// Dense sweep building row i's support from scratch.
-  void BuildSupport(size_t i) {
-    std::vector<int>& sup = support_[i];
-    sup.clear();
-    const Num* cells = rows_[i];
-    for (size_t j = 0; j < width_; ++j) {
-      if (!cells[j].is_zero()) sup.push_back(static_cast<int>(j));
-    }
-  }
-
-  const std::vector<int>& support(size_t i) const { return support_[i]; }
   size_t fill_in() const { return fill_in_; }
-  size_t NnzCells() const {
-    size_t nnz = 0;
-    for (const std::vector<int>& sup : support_) nnz += sup.size();
-    return nnz;
-  }
 
-  /// target -= factor · source over source's support (+ rhs), merging
-  /// supports incrementally.
+  /// rows[target] -= factor · rows[source], rhs included. Cells only in the
+  /// target are untouched, shared cells that cancel drop out, and cells new
+  /// to the target are fill-in.
   void Axpy(size_t target, size_t source, const Num& factor) {
-    Num* t = rows_[target];
-    const Num* s = rows_[source];
-    for (int j : support_[source]) {
-      t[static_cast<size_t>(j)] -= factor * s[static_cast<size_t>(j)];
+    LpRow& a = tab_->rows[target];
+    const LpRow& b = tab_->rows[source];
+    merged_.clear();
+    merged_.reserve(a.size() + b.size());
+    size_t x = 0;
+    size_t y = 0;
+    while (x < a.size() || y < b.size()) {
+      if (y >= b.size() || (x < a.size() && a[x].col < b[y].col)) {
+        merged_.push_back(std::move(a[x++]));
+        continue;
+      }
+      const bool fresh = x >= a.size() || a[x].col > b[y].col;
+      // A fresh cell starts from zero: 0 − f·s, the same two operations a
+      // shared cell costs.
+      LpEntry entry = fresh ? LpEntry{b[y].col, Num()} : std::move(a[x++]);
+      entry.value -= factor * b[y++].value;
+      if (entry.value.is_zero()) continue;
+      if (fresh) ++fill_in_;
+      merged_.push_back(std::move(entry));
     }
-    if (!rhs_[source]->is_zero()) *rhs_[target] -= factor * *rhs_[source];
-    Merge(target, source);
+    a.swap(merged_);
+    const Num& source_rhs = tab_->rhs[source];
+    if (!source_rhs.is_zero()) tab_->rhs[target] -= factor * source_rhs;
   }
 
   /// Normalizes the leaving row by its pivot cell and eliminates column
   /// `entering` from every other row. The caller updates the basis.
-  void ApplyPivot(size_t leaving, size_t entering) {
-    Num* p = rows_[leaving];
-    const Num pivot = p[entering];
-    for (int j : support_[leaving]) {
-      p[static_cast<size_t>(j)] /= pivot;  // Support cells are nonzero.
-    }
-    if (!rhs_[leaving]->is_zero()) *rhs_[leaving] /= pivot;
-    for (size_t i = 0; i < rows_.size(); ++i) {
+  void Pivot(size_t leaving, int entering) {
+    LpRow& p = tab_->rows[leaving];
+    const Num pivot = *FindCell(p, entering);
+    for (LpEntry& entry : p) entry.value /= pivot;  // Entries are nonzero.
+    Num& leaving_rhs = tab_->rhs[leaving];
+    if (!leaving_rhs.is_zero()) leaving_rhs /= pivot;
+    for (size_t i = 0; i < tab_->rows.size(); ++i) {
       if (i == leaving) continue;
-      const Num factor = rows_[i][entering];
-      if (factor.is_zero()) continue;
+      const Num* cell = FindCell(tab_->rows[i], entering);
+      if (cell == nullptr) continue;
+      const Num factor = *cell;
       Axpy(i, leaving, factor);
     }
   }
 
-  /// Support invariants of every attached row, for XICC_DCHECK_AUDIT.
-  std::vector<std::string> AuditSupports() const {
-    std::vector<std::string> out;
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      const std::vector<Num> dense(rows_[i], rows_[i] + width_);
-      std::vector<std::string> row_out =
-          AuditRowSupport(dense, width_, support_[i], i);
-      out.insert(out.end(), row_out.begin(), row_out.end());
-    }
-    return out;
-  }
-
  private:
-  void Merge(size_t target, size_t source) {
-    const std::vector<int>& a = support_[target];
-    const std::vector<int>& b = support_[source];
-    const Num* cells = rows_[target];
-    merge_scratch_.clear();
-    size_t x = 0;
-    size_t y = 0;
-    while (x < a.size() || y < b.size()) {
-      if (y >= b.size() || (x < a.size() && a[x] < b[y])) {
-        merge_scratch_.push_back(a[x++]);
-        continue;
-      }
-      const bool fresh = x >= a.size() || a[x] > b[y];
-      const int col = b[y++];
-      if (!fresh) ++x;
-      if (!cells[static_cast<size_t>(col)].is_zero()) {
-        merge_scratch_.push_back(col);
-        if (fresh) ++fill_in_;
-      }
-    }
-    support_[target].swap(merge_scratch_);
-  }
-
-  size_t width_;
-  std::vector<Num*> rows_;
-  std::vector<Num*> rhs_;
-  std::vector<std::vector<int>> support_;
-  std::vector<int> merge_scratch_;
+  LpTableau* tab_;
+  LpRow merged_;
   size_t fill_in_ = 0;
 };
 
@@ -472,29 +450,32 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
     for (const auto& [var, coeff] : c.coeffs) {
       if (coeff.is_zero()) continue;
       kernel.InitCell(i, static_cast<size_t>(var),
-                      sign < 0 ? -coeff : coeff, &result);
+                      sign < 0 ? -coeff : coeff, &result.kernel);
       kernel.support(i).push_back(static_cast<int>(var));
     }
-    kernel.InitCell(i, rhs_col, plan[i].negate ? -c.rhs : c.rhs, &result);
+    kernel.InitCell(i, rhs_col, plan[i].negate ? -c.rhs : c.rhs,
+                    &result.kernel);
     if (slack_col[i] >= 0) {
       // Original slack sign: +1 for ≤, −1 for ≥; then the row negation.
       const int slack_sign = (c.op == RelOp::kLe ? 1 : -1) * sign;
       kernel.InitCell(i, static_cast<size_t>(slack_col[i]), Num(slack_sign),
-                      &result);
+                      &result.kernel);
       kernel.support(i).push_back(slack_col[i]);
     }
     if (plan[i].use_slack) {
       basis[i] = slack_col[i];
     } else {
       plan[i].artificial_col = static_cast<int>(next_artificial);
-      kernel.InitCell(i, next_artificial, Num(1), &result);
+      kernel.InitCell(i, next_artificial, Num(1), &result.kernel);
       kernel.support(i).push_back(static_cast<int>(next_artificial));
       basis[i] = static_cast<int>(next_artificial);
       ++next_artificial;
     }
   }
-  for (size_t i = 0; i < m; ++i) result.nnz_cells += kernel.support(i).size();
-  result.total_cells = m * total;
+  for (size_t i = 0; i < m; ++i) {
+    result.kernel.nnz_cells += kernel.support(i).size();
+  }
+  result.kernel.total_cells = m * total;
 
   // Phase-1 objective: minimize the sum of artificial variables. In tableau
   // form the reduced-cost row is -(sum of artificial rows) over
@@ -512,7 +493,7 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
     for (size_t j = 0; j <= rhs_col; ++j) {
       if (j >= num_structural_slack && j < total) continue;  // Artificial.
       if (objective[j].is_zero()) continue;
-      kernel.InitCell(m, j, -objective[j], &result);
+      kernel.InitCell(m, j, -objective[j], &result.kernel);
       if (j < total) kernel.support(m).push_back(static_cast<int>(j));
     }
   }
@@ -582,11 +563,11 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
     const bool degenerate = kernel.IsZero(pivot_row, rhs_col);
     ++result.pivots;
     if (bland_mode) {
-      ++result.bland_pivots;
+      ++result.kernel.bland_pivots;
     } else {
-      ++result.dantzig_pivots;
+      ++result.kernel.dantzig_pivots;
     }
-    kernel.PivotApply(pivot_row, entering, &result);
+    kernel.PivotApply(pivot_row, entering, &result.kernel);
     basis[pivot_row] = static_cast<int>(entering);
     if (degenerate) {
       ++degenerate_streak;
@@ -594,7 +575,7 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
           pricing.degenerate_streak_limit != 0 &&
           degenerate_streak >= pricing.degenerate_streak_limit) {
         bland_mode = true;
-        ++result.bland_fallbacks;
+        ++result.kernel.bland_fallbacks;
       }
     } else {
       degenerate_streak = 0;
@@ -607,7 +588,7 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
   if (!kernel.IsZero(m, rhs_col)) {
     result.feasible = false;
     for (size_t i = 0; i <= m; ++i) {
-      if (kernel.IsFast(i)) ++result.fast_rows;
+      if (kernel.IsFast(i)) ++result.kernel.fast_rows;
     }
     return result;
   }
@@ -630,8 +611,8 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
       }
       const size_t entering = static_cast<size_t>(sup.front());
       ++result.pivots;
-      ++result.bland_pivots;
-      kernel.PivotApply(i, entering, &result);
+      ++result.kernel.bland_pivots;
+      kernel.PivotApply(i, entering, &result.kernel);
       basis[i] = static_cast<int>(entering);
     }
     XICC_DCHECK_AUDIT(kernel.AuditSupports());
@@ -643,13 +624,13 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
     }
   }
   for (size_t i = 0; i <= m; ++i) {
-    if (kernel.IsFast(i)) ++result.fast_rows;
+    if (kernel.IsFast(i)) ++result.kernel.fast_rows;
   }
 
   if (tableau != nullptr) {
     tableau->columns = columns;
     tableau->basis.assign(m, -1);
-    tableau->rows.assign(m, std::vector<Num>(num_structural_slack));
+    tableau->rows.assign(m, LpRow());
     tableau->rhs.assign(m, Num());
     tableau->num_constraints = m;
     for (size_t i = 0; i < m; ++i) {
@@ -659,11 +640,11 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
       if (static_cast<size_t>(basis[i]) < num_structural_slack) {
         tableau->basis[i] = basis[i];
       }
-      std::vector<Num>& dst = tableau->rows[i];
+      // Supports are sorted, so the artificial columns form their tail.
       for (int j : kernel.support(i)) {
-        if (static_cast<size_t>(j) < num_structural_slack) {
-          dst[static_cast<size_t>(j)] = kernel.Get(i, static_cast<size_t>(j));
-        }
+        if (static_cast<size_t>(j) >= num_structural_slack) break;
+        tableau->rows[i].push_back(
+            {j, kernel.Get(i, static_cast<size_t>(j))});
       }
       tableau->rhs[i] = kernel.Get(i, rhs_col);
     }
@@ -784,7 +765,7 @@ LpResult SolveLpFeasibilityDenseBland(const LinearSystem& system,
     if (pivot_row == m) break;  // Phase-1 cannot be unbounded; defensive.
 
     ++result.pivots;
-    ++result.bland_pivots;
+    ++result.kernel.bland_pivots;
     Num* pivot_cells = tab.Row(pivot_row);
     const Num pivot = pivot_cells[entering];
     for (size_t j = 0; j <= rhs_col; ++j) {
@@ -825,7 +806,7 @@ LpResult SolveLpFeasibilityDenseBland(const LinearSystem& system,
       }
       if (entering == num_structural_slack) continue;  // Redundant row.
       ++result.pivots;
-      ++result.bland_pivots;
+      ++result.kernel.bland_pivots;
       Num* pivot_cells = tab.Row(i);
       const Num pivot = pivot_cells[entering];
       for (size_t j = 0; j <= rhs_col; ++j) {
@@ -856,7 +837,7 @@ LpResult SolveLpFeasibilityDenseBland(const LinearSystem& system,
   if (tableau != nullptr) {
     tableau->columns = columns;
     tableau->basis.assign(m, -1);
-    tableau->rows.assign(m, std::vector<Num>(num_structural_slack));
+    tableau->rows.assign(m, LpRow());
     tableau->rhs.assign(m, Num());
     tableau->num_constraints = m;
     for (size_t i = 0; i < m; ++i) {
@@ -864,7 +845,8 @@ LpResult SolveLpFeasibilityDenseBland(const LinearSystem& system,
         tableau->basis[i] = basis[i];
       }
       for (size_t j = 0; j < num_structural_slack; ++j) {
-        tableau->rows[i][j] = tab.At(i, j);
+        if (tab.At(i, j).is_zero()) continue;
+        tableau->rows[i].push_back({static_cast<int>(j), tab.At(i, j)});
       }
       tableau->rhs[i] = tab.At(i, rhs_col);
     }
@@ -882,7 +864,8 @@ WarmResult ReSolveLpFeasibilityDual(const LinearSystem& system,
   // Usability: the parent basis must be artificial-free (artificials are not
   // exported, so a row basic in one cannot be re-seeded), the variable set
   // must not have grown since the parent solve, and the parent must actually
-  // be a prefix of `system`.
+  // be a prefix of `system`. Nothing has been touched yet, so kUnusableBasis
+  // leaves the tableau intact.
   if (tableau->num_constraints > m_new) return out;
   size_t num_structural = 0;
   for (const LpColumnInfo& column : tableau->columns) {
@@ -894,252 +877,63 @@ WarmResult ReSolveLpFeasibilityDual(const LinearSystem& system,
   }
 
   const size_t old_rows = tableau->rows.size();
-  const size_t old_cols = tableau->columns.size();
 
-  // One working row per parent row, plus one per appended inequality and two
-  // per appended equality (split into its ≤ and ≥ halves so each half gets a
-  // basic slack — dual simplex needs a basic variable per row).
-  struct NewRow {
-    size_t constraint;  // Index into system.constraints().
-    int sub_sign;       // -1: s = rhs − expr; +1: s = expr − rhs.
-  };
-  std::vector<NewRow> appended;
+  // One slack-basic row per appended inequality and two per appended
+  // equality (split into its ≤ and ≥ halves so each half gets a basic slack
+  // — dual simplex needs a basic variable per row). Parent rows hold no
+  // cells in the fresh slack columns, so they need no widening.
+  std::vector<int>& basis = tableau->basis;
   for (size_t k = tableau->num_constraints; k < m_new; ++k) {
-    const RelOp op = system.constraints()[k].op;
-    if (op == RelOp::kLe || op == RelOp::kEq) appended.push_back({k, -1});
-    if (op == RelOp::kGe || op == RelOp::kEq) appended.push_back({k, 1});
-  }
-  const size_t rows = old_rows + appended.size();
-  const size_t total = old_cols + appended.size();
-
-  // The private working copy pivots in arena scratch; only the final fold-
-  // back below touches the caller's (regular-vector) tableau. Cells and rhs
-  // are separate flat blocks so the sparse overlay sees a uniform layout
-  // across both warm variants.
-  ArenaScope scratch(ThisThreadArena());
-  ArenaVector<Num> cells_block(rows * total, Num(),
-                               ArenaAllocator<Num>(&ThisThreadArena()));
-  ArenaVector<Num> rhs_block(rows, Num(),
-                             ArenaAllocator<Num>(&ThisThreadArena()));
-  SparseDualView view(rows, total);
-  std::vector<int> basis(tableau->basis.begin(), tableau->basis.end());
-  basis.reserve(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    view.Attach(i, cells_block.data() + i * total, rhs_block.data() + i);
-  }
-  for (size_t i = 0; i < old_rows; ++i) {
-    Num* cells = cells_block.data() + i * total;
-    const std::vector<Num>& src = tableau->rows[i];
-    for (size_t j = 0; j < old_cols; ++j) cells[j] = src[j];
-    rhs_block[i] = tableau->rhs[i];
-    view.BuildSupport(i);
-  }
-
-  for (size_t r = 0; r < appended.size(); ++r) {
-    const size_t row = old_rows + r;
-    const size_t slack = old_cols + r;
-    const NewRow& plan = appended[r];
-    const LinearConstraint& c = system.constraints()[plan.constraint];
-    // ≤-half: expr + s = rhs. ≥-half, negated so the surplus comes out +1:
-    // −expr + s = −rhs.
-    const int sign = plan.sub_sign < 0 ? 1 : -1;
-    Num* cells = cells_block.data() + row * total;
-    for (const auto& [var, coeff] : c.coeffs) {
-      cells[static_cast<size_t>(var)] = sign < 0 ? -coeff : coeff;
+    const LinearConstraint& c = system.constraints()[k];
+    for (int sub_sign : {-1, 1}) {
+      if (sub_sign < 0 ? c.op == RelOp::kGe : c.op == RelOp::kLe) continue;
+      // ≤-half: expr + s = rhs. ≥-half, negated so the surplus comes out
+      // +1: −expr + s = −rhs.
+      const int slack = static_cast<int>(tableau->columns.size());
+      LpRow row;
+      row.reserve(c.coeffs.size() + 1);
+      for (const auto& [var, coeff] : c.coeffs) {
+        if (coeff.is_zero()) continue;
+        row.push_back({var, sub_sign < 0 ? coeff : -coeff});
+      }
+      row.push_back({slack, Num(1)});
+      tableau->rows.push_back(std::move(row));
+      tableau->rhs.push_back(sub_sign < 0 ? c.rhs : -c.rhs);
+      basis.push_back(slack);
+      tableau->columns.push_back({LpColumnInfo::Kind::kSlack,
+                                  static_cast<int>(k), sub_sign});
     }
-    cells[slack] = Num(1);
-    rhs_block[row] = sign < 0 ? -c.rhs : c.rhs;
-    view.BuildSupport(row);
-    // Price out the parent's basic variables so basic columns stay unit.
-    // Parent rows carry zeros in the fresh slack columns, so elimination
-    // never spills into other appended rows.
+  }
+  tableau->num_constraints = m_new;
+  const size_t rows = tableau->rows.size();
+  const size_t total = tableau->columns.size();
+
+  // Price out the parent's basic variables from the appended rows so basic
+  // columns stay unit. Parent rows hold no cells in the fresh slack
+  // columns, so elimination never spills into other appended rows — it
+  // only reads rows < old_rows, which stay untouched until the pivot loop.
+  SparseRowOps ops(tableau);
+  for (size_t row = old_rows; row < rows; ++row) {
     for (size_t i = 0; i < old_rows; ++i) {
-      const Num factor = cells[static_cast<size_t>(basis[i])];
-      if (factor.is_zero()) continue;
-      view.Axpy(row, i, factor);
+      const Num* cell = FindCell(tableau->rows[row], basis[i]);
+      if (cell == nullptr) continue;
+      const Num factor = *cell;
+      ops.Axpy(row, i, factor);
     }
-    basis.push_back(static_cast<int>(slack));
   }
-  out.lp.nnz_cells = view.NnzCells();
-  out.lp.total_cells = rows * total;
-  XICC_DCHECK_AUDIT(view.AuditSupports());
+  for (const LpRow& row : tableau->rows) {
+    out.lp.kernel.nnz_cells += row.size();
+  }
+  out.lp.kernel.total_cells = rows * total;
 
   // Dual simplex with Bland's rule: leaving row = infeasible row whose basic
   // column index is smallest; entering = smallest column with a negative
-  // entry in that row — the head scan of the leaving row's support. The
+  // entry in that row — the head scan of the leaving row's entries. The
   // pivot cap is a defensive backstop — tripping it reports kPivotLimit and
   // the caller re-solves cold, so it can only cost time, never correctness.
   const size_t pivot_cap = 200 + 16 * rows;
   for (;;) {
     XICC_FAULT_PROBE(kSimplexPivot);
-    if (stop != nullptr && stop->ShouldStop()) {
-      out.status = WarmStatus::kAborted;
-      return out;
-    }
-    int leaving = -1;
-    for (size_t i = 0; i < rows; ++i) {
-      if (rhs_block[i].sign() < 0 &&
-          (leaving < 0 || basis[i] < basis[leaving])) {
-        leaving = static_cast<int>(i);
-      }
-    }
-    if (leaving < 0) break;  // Primal feasible again.
-
-    const Num* pivot_cells =
-        cells_block.data() + static_cast<size_t>(leaving) * total;
-    size_t entering = total;
-    for (int j : view.support(static_cast<size_t>(leaving))) {
-      if (pivot_cells[static_cast<size_t>(j)].sign() < 0) {
-        entering = static_cast<size_t>(j);
-        break;
-      }
-    }
-    if (entering == total) {
-      // Certificate: Σ (nonnegative coeffs)·(nonnegative vars) = rhs < 0.
-      out.status = WarmStatus::kOk;
-      out.lp.feasible = false;
-      return out;
-    }
-    if (out.lp.pivots >= pivot_cap) {
-      out.status = WarmStatus::kPivotLimit;
-      return out;
-    }
-    ++out.lp.pivots;
-    ++out.lp.bland_pivots;
-    view.ApplyPivot(static_cast<size_t>(leaving), entering);
-    basis[leaving] = static_cast<int>(entering);
-  }
-  out.lp.fill_in = view.fill_in();
-  XICC_DCHECK_AUDIT(view.AuditSupports());
-
-  out.status = WarmStatus::kOk;
-  out.lp.feasible = true;
-  out.lp.values.assign(n, Num());
-  for (size_t i = 0; i < rows; ++i) {
-    if (static_cast<size_t>(basis[i]) < n) {
-      out.lp.values[basis[i]] = rhs_block[i];
-    }
-  }
-
-  // Fold the extended state back into `tableau` so the next warm re-solve
-  // (or a Gomory derivation) starts from here. Copies, not moves — the
-  // tableau's vectors must outlive this solve's arena scope. The supports
-  // say where the nonzeros are, so the fold-back writes only those.
-  for (const NewRow& plan : appended) {
-    tableau->columns.push_back({LpColumnInfo::Kind::kSlack,
-                                static_cast<int>(plan.constraint),
-                                plan.sub_sign});
-  }
-  tableau->basis = std::move(basis);
-  tableau->rhs.resize(rows);
-  tableau->rows.resize(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    // Num assignment deep-copies (the big tier reallocates on the heap), so
-    // nothing arena-backed escapes here. xicc-lint: allow(arena-escape)
-    tableau->rhs[i] = rhs_block[i];
-    std::vector<Num>& dst = tableau->rows[i];
-    dst.assign(total, Num());
-    const Num* cells = cells_block.data() + i * total;
-    for (int j : view.support(i)) {
-      dst[static_cast<size_t>(j)] = cells[static_cast<size_t>(j)];
-    }
-  }
-  tableau->num_constraints = m_new;
-  return out;
-}
-
-WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
-                                           LpTableau* tableau,
-                                           const StopSignal* stop) {
-  WarmResult out;
-  const size_t n = system.NumVariables();
-  const size_t m_new = system.NumConstraints();
-
-  // Usability gates identical to the copying variant; nothing has been
-  // touched yet, so kUnusableBasis leaves the tableau intact.
-  if (tableau->num_constraints > m_new) return out;
-  size_t num_structural = 0;
-  for (const LpColumnInfo& column : tableau->columns) {
-    if (column.kind == LpColumnInfo::Kind::kStructural) ++num_structural;
-  }
-  if (num_structural != n) return out;
-  for (int b : tableau->basis) {
-    if (b < 0) return out;
-  }
-
-  const size_t old_rows = tableau->rows.size();
-  const size_t old_cols = tableau->columns.size();
-
-  struct NewRow {
-    size_t constraint;
-    int sub_sign;
-  };
-  std::vector<NewRow> appended;
-  for (size_t k = tableau->num_constraints; k < m_new; ++k) {
-    const RelOp op = system.constraints()[k].op;
-    if (op == RelOp::kLe || op == RelOp::kEq) appended.push_back({k, -1});
-    if (op == RelOp::kGe || op == RelOp::kEq) appended.push_back({k, 1});
-  }
-  const size_t rows = old_rows + appended.size();
-  const size_t total = old_cols + appended.size();
-
-  // Extend the tableau in place: zero cells for the fresh slack columns in
-  // the parent rows (resize default-constructs zeros), then one slack-basic
-  // row per appended half. All resizing happens before the sparse overlay
-  // attaches row pointers below — nothing may reallocate after that.
-  for (size_t i = 0; i < old_rows; ++i) tableau->rows[i].resize(total);
-  tableau->rows.resize(rows);
-  tableau->rhs.resize(rows);
-  std::vector<int>& basis = tableau->basis;
-  basis.reserve(rows);
-  for (size_t r = 0; r < appended.size(); ++r) {
-    const size_t row = old_rows + r;
-    const size_t slack = old_cols + r;
-    const NewRow& plan = appended[r];
-    const LinearConstraint& c = system.constraints()[plan.constraint];
-    const int sign = plan.sub_sign < 0 ? 1 : -1;
-    std::vector<Num>& cells = tableau->rows[row];
-    cells.assign(total, Num());
-    for (const auto& [var, coeff] : c.coeffs) {
-      cells[static_cast<size_t>(var)] = sign < 0 ? -coeff : coeff;
-    }
-    cells[slack] = Num(1);
-    tableau->rhs[row] = sign < 0 ? -c.rhs : c.rhs;
-    basis.push_back(static_cast<int>(slack));
-    tableau->columns.push_back({LpColumnInfo::Kind::kSlack,
-                                static_cast<int>(plan.constraint),
-                                plan.sub_sign});
-  }
-  tableau->num_constraints = m_new;
-
-  SparseDualView view(rows, total);
-  for (size_t i = 0; i < rows; ++i) {
-    view.Attach(i, tableau->rows[i].data(), &tableau->rhs[i]);
-    view.BuildSupport(i);
-  }
-  // Price out the parent's basic variables from the appended rows so basic
-  // columns stay unit. Parent rows carry zeros in the fresh slack columns,
-  // so elimination never spills into other appended rows — it only reads
-  // rows < old_rows, which stay untouched until the pivot loop below.
-  for (size_t row = old_rows; row < rows; ++row) {
-    const std::vector<Num>& cells = tableau->rows[row];
-    for (size_t i = 0; i < old_rows; ++i) {
-      const Num factor = cells[static_cast<size_t>(basis[i])];
-      if (factor.is_zero()) continue;
-      view.Axpy(row, i, factor);
-    }
-  }
-  out.lp.nnz_cells = view.NnzCells();
-  out.lp.total_cells = rows * total;
-  XICC_DCHECK_AUDIT(view.AuditSupports());
-
-  // Dual simplex with Bland's rule, pivoting the tableau's own rows through
-  // the sparse overlay.
-  const size_t pivot_cap = 200 + 16 * rows;
-  for (;;) {
-    XICC_FAULT_PROBE(kSimplexPivot);
-    // Aborting leaves the tableau mid-pivot — same discard contract as
-    // kPivotLimit, already honored by every in-place caller.
     if (stop != nullptr && stop->ShouldStop()) {
       out.status = WarmStatus::kAborted;
       return out;
@@ -1153,18 +947,15 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
     }
     if (leaving < 0) break;  // Primal feasible again.
 
-    const std::vector<Num>& pivot_cells =
-        tableau->rows[static_cast<size_t>(leaving)];
-    size_t entering = total;
-    for (int j : view.support(static_cast<size_t>(leaving))) {
-      if (pivot_cells[static_cast<size_t>(j)].sign() < 0) {
-        entering = static_cast<size_t>(j);
+    int entering = -1;
+    for (const LpEntry& entry : tableau->rows[static_cast<size_t>(leaving)]) {
+      if (entry.value.sign() < 0) {
+        entering = entry.col;
         break;
       }
     }
-    if (entering == total) {
-      // Exact certificate; the half-pivoted tableau is the caller's to
-      // discard, per the in-place contract.
+    if (entering < 0) {
+      // Certificate: Σ (nonnegative coeffs)·(nonnegative vars) = rhs < 0.
       out.status = WarmStatus::kOk;
       out.lp.feasible = false;
       return out;
@@ -1174,12 +965,12 @@ WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
       return out;
     }
     ++out.lp.pivots;
-    ++out.lp.bland_pivots;
-    view.ApplyPivot(static_cast<size_t>(leaving), entering);
-    basis[leaving] = static_cast<int>(entering);
+    ++out.lp.kernel.bland_pivots;
+    ops.Pivot(static_cast<size_t>(leaving), entering);
+    basis[leaving] = entering;
   }
-  out.lp.fill_in = view.fill_in();
-  XICC_DCHECK_AUDIT(view.AuditSupports());
+  out.lp.kernel.fill_in = ops.fill_in();
+  XICC_DCHECK_AUDIT(AuditTableau(system, *tableau));
 
   out.status = WarmStatus::kOk;
   out.lp.feasible = true;

@@ -26,36 +26,39 @@ struct LpColumnInfo {
   int sub_sign = 0;
 };
 
+/// One stored cell of a tableau row: a nonzero coefficient and its column.
+struct LpEntry {
+  int col;
+  Num value;
+};
+
+/// A tableau row as its nonzero cells, sorted by strictly increasing column.
+/// Absent columns are zero, so a copy costs O(nonzeros) — Ψ's rows touch a
+/// handful of variables each.
+using LpRow = std::vector<LpEntry>;
+
 /// The final basis rows, for Gomory cut derivation and warm re-solving.
 /// Row i reads
 ///   x_{basis[i]} = rhs[i] - Σ_j coeffs[i][j]·x_j   (j over all columns),
-/// where basic columns carry coefficient 0 except their own unit entry.
+/// where basic columns carry coefficient 0 except their own unit entry;
+/// `rows[i]` stores the nonzero coeffs[i][j] only.
 struct LpTableau {
   std::vector<LpColumnInfo> columns;
   /// basis[i] indexes into `columns`; -1 marks a (degenerate, zero-valued)
   /// artificial still in the basis — rows like that are unusable for cuts
   /// and poison warm re-solves (the artificial column is not exported).
   std::vector<int> basis;
-  std::vector<std::vector<Num>> rows;  ///< Per row, per column.
+  std::vector<LpRow> rows;
   std::vector<Num> rhs;
   /// How many rows of the originating LinearSystem this tableau covers.
   /// A warm re-solve treats system rows past this index as appended.
   size_t num_constraints = 0;
 };
 
-/// Outcome of an LP-relaxation feasibility check.
-struct LpResult {
-  bool feasible = false;
-  /// True when the solve was stopped by its StopSignal (deadline expiry or
-  /// cancellation) before reaching a verdict. `feasible` is then
-  /// meaningless and MUST NOT be read as "infeasible".
-  bool aborted = false;
-  /// Values for the system's original variables when feasible.
-  std::vector<Num> values;
-  /// Pivot count, for the solver statistics.
-  size_t pivots = 0;
-
-  // ---- Sparse-kernel instrumentation (see DESIGN.md §12). ----
+/// Sparse-kernel instrumentation of one LP solve (see DESIGN.md §12), and
+/// the same counters summed over many solves (branch-and-bound, case-split,
+/// sessions).
+struct LpKernelStats {
   /// Pivots priced by each rule. Warm (dual) re-solves are always Bland, so
   /// there dantzig_pivots stays 0; pivots == dantzig_pivots + bland_pivots
   /// (drive-out pivots of degenerate artificials count as Bland — they use
@@ -76,33 +79,7 @@ struct LpResult {
   /// end of the solve, and rows that overflowed into the exact Num lane.
   size_t fast_rows = 0;
   size_t fast_row_promotions = 0;
-  /// True when LpPricingConfig::pivot_cap stopped the solve (test harness
-  /// only; `aborted` is set too, so no verdict was reached).
-  bool pivot_cap_hit = false;
-};
 
-/// The sparse-kernel counters of LpResult in aggregable form, for solves
-/// that sum many LP calls (branch-and-bound, case-split, sessions).
-struct LpKernelStats {
-  size_t dantzig_pivots = 0;
-  size_t bland_pivots = 0;
-  size_t bland_fallbacks = 0;
-  size_t fill_in = 0;
-  size_t nnz_cells = 0;
-  size_t total_cells = 0;
-  size_t fast_rows = 0;
-  size_t fast_row_promotions = 0;
-
-  void Add(const LpResult& lp) {
-    dantzig_pivots += lp.dantzig_pivots;
-    bland_pivots += lp.bland_pivots;
-    bland_fallbacks += lp.bland_fallbacks;
-    fill_in += lp.fill_in;
-    nnz_cells += lp.nnz_cells;
-    total_cells += lp.total_cells;
-    fast_rows += lp.fast_rows;
-    fast_row_promotions += lp.fast_row_promotions;
-  }
   void Add(const LpKernelStats& other) {
     dantzig_pivots += other.dantzig_pivots;
     bland_pivots += other.bland_pivots;
@@ -113,6 +90,23 @@ struct LpKernelStats {
     fast_rows += other.fast_rows;
     fast_row_promotions += other.fast_row_promotions;
   }
+};
+
+/// Outcome of an LP-relaxation feasibility check.
+struct LpResult {
+  bool feasible = false;
+  /// True when the solve was stopped by its StopSignal (deadline expiry or
+  /// cancellation) before reaching a verdict. `feasible` is then
+  /// meaningless and MUST NOT be read as "infeasible".
+  bool aborted = false;
+  /// Values for the system's original variables when feasible.
+  std::vector<Num> values;
+  /// Pivot count, for the solver statistics.
+  size_t pivots = 0;
+  LpKernelStats kernel;
+  /// True when LpPricingConfig::pivot_cap stopped the solve (test harness
+  /// only; `aborted` is set too, so no verdict was reached).
+  bool pivot_cap_hit = false;
 };
 
 /// Tuning knobs of the cold solve's entering-variable pricing. Thread-local
@@ -180,14 +174,15 @@ enum class WarmStatus {
   kOk,
   /// The parent basis cannot seed a re-solve: a degenerate artificial was
   /// still basic, or the system gained variables since the parent solve.
+  /// The tableau is untouched.
   kUnusableBasis,
   /// The anti-cycling backstop tripped; `lp.pivots` still reports the work
-  /// spent so callers can account for it before falling back cold.
+  /// spent so callers can account for it before falling back cold. The
+  /// tableau is mid-pivot.
   kPivotLimit,
   /// The StopSignal fired mid-pivot (deadline or cancel). No verdict; the
   /// caller must NOT fall back to a cold solve — the point of stopping is
-  /// to stop. In-place variant: the tableau is mid-pivot, as for
-  /// kPivotLimit.
+  /// to stop. The tableau is mid-pivot, as for kPivotLimit.
   kAborted,
 };
 
@@ -209,30 +204,21 @@ struct WarmResult {
 /// is restored by dual simplex with Bland's rule (leaving row = infeasible
 /// row with the smallest basic column, entering = smallest negative column),
 /// pivoting from the parent's dual-feasible basis instead of re-running
-/// phase-1 from scratch.
+/// phase-1 from scratch. The pivots run directly on the tableau's sparse
+/// rows, so a pivot touches only nonzeros and nothing is copied.
 ///
-/// On kOk, `tableau` is updated in place to cover all of `system` (and is
-/// only meaningful when `lp.feasible`); an infeasible verdict out of the
-/// dual loop is exact — the certificate row has nonnegative coefficients and
-/// a negative rhs over nonnegative variables. On kUnusableBasis/kPivotLimit
-/// the caller must fall back to SolveLpFeasibility; verdicts are identical
-/// either way, warm start only changes who does the pivoting.
+/// On kOk with `lp.feasible`, `tableau` covers all of `system`. An
+/// infeasible verdict out of the dual loop is exact — the certificate row
+/// has nonnegative coefficients and a negative rhs over nonnegative
+/// variables. On kUnusableBasis the tableau is untouched; on kPivotLimit,
+/// kAborted and a kOk infeasible verdict it is left mid-pivot and MUST be
+/// discarded or rebuilt by a cold solve. A caller that keeps its basis
+/// across failed re-solves re-solves a copy and keeps it only on a kOk
+/// feasible verdict. On kUnusableBasis/kPivotLimit the caller falls back to
+/// SolveLpFeasibility; verdicts are identical either way, warm start only
+/// changes who does the pivoting.
 WarmResult ReSolveLpFeasibilityDual(const LinearSystem& system,
                                     LpTableau* tableau,
                                     const StopSignal* stop = nullptr);
-
-/// Same decision and the same basis mathematics as ReSolveLpFeasibilityDual,
-/// but pivots directly inside `tableau` instead of on a private dense copy
-/// that is folded back afterwards — the copy burst is the dominant cost of
-/// a re-solve whose appended
-/// rows need only a handful of pivots, which is exactly the Σ-delta session
-/// profile. The price is the failure contract: on kUnusableBasis the tableau
-/// is untouched, but on kPivotLimit — and on an exact kOk infeasible
-/// verdict — `*tableau` is left mid-pivot and MUST be discarded or rebuilt
-/// by a cold solve. Callers that keep their basis across failed re-solves
-/// (e.g. the presolve forced-row extension) stay on the copying variant.
-WarmResult ReSolveLpFeasibilityDualInPlace(const LinearSystem& system,
-                                           LpTableau* tableau,
-                                           const StopSignal* stop = nullptr);
 
 }  // namespace xicc

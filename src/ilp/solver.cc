@@ -1,7 +1,6 @@
 #include "ilp/solver.h"
 
 #include <chrono>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -86,15 +85,15 @@ std::optional<LinearConstraint> DeriveGomoryCut(const LinearSystem& system,
   }
   if (best_row < 0) return std::nullopt;
 
-  const std::vector<Num>& row = tableau.rows[best_row];
   Num rhs = Frac(tableau.rhs[best_row]);
   // Accumulate structural coefficients; slack columns substitute to
-  // structural terms plus a constant folded into the rhs.
+  // structural terms plus a constant folded into the rhs. Absent columns
+  // are zero and contribute nothing.
   std::map<VarId, Num> coeffs;
-  for (size_t j = 0; j < row.size(); ++j) {
-    Num f = Frac(row[j]);
+  for (const LpEntry& entry : tableau.rows[best_row]) {
+    Num f = Frac(entry.value);
     if (f.is_zero()) continue;
-    const LpColumnInfo& column = tableau.columns[j];
+    const LpColumnInfo& column = tableau.columns[entry.col];
     if (column.kind == LpColumnInfo::Kind::kStructural) {
       coeffs[column.index] += f;
       continue;
@@ -196,39 +195,15 @@ class BranchAndBound {
   }
 
  private:
-  /// RAII handle on a tableau from the node free list; the destructor
-  /// returns it (with all its vector capacity) for the next node to reuse.
-  class PooledTableau {
-   public:
-    explicit PooledTableau(BranchAndBound* owner) : owner_(owner) {
-      if (owner_->tableau_pool_.empty()) {
-        tab_ = std::make_unique<LpTableau>();
-      } else {
-        tab_ = std::move(owner_->tableau_pool_.back());
-        owner_->tableau_pool_.pop_back();
-      }
-    }
-    ~PooledTableau() {
-      owner_->tableau_pool_.push_back(std::move(tab_));
-    }
-    PooledTableau(const PooledTableau&) = delete;
-    PooledTableau& operator=(const PooledTableau&) = delete;
-    LpTableau* get() { return tab_.get(); }
-
-   private:
-    BranchAndBound* owner_;
-    std::unique_ptr<LpTableau> tab_;
-  };
-
   /// One LP solve of the current work_ state into `tab`. When `try_warm`,
   /// `tab` must hold a feasible ancestor basis of a row-prefix of work_ —
   /// the appended rows go through the dual-simplex re-solve; any warm
   /// failure falls back to the cold primal path (identical verdicts).
   LpResult SolveNodeLp(LpTableau* tab, bool try_warm) {
     if (try_warm && options_.warm_start) {
-      // In-place re-solve: `tab` is this node's private (or scratch) copy,
-      // and every failure path below overwrites it with a cold solve.
-      WarmResult warm = ReSolveLpFeasibilityDualInPlace(work_, tab, stop_);
+      // In-place re-solve: `tab` is this node's private copy, and every
+      // failure path below overwrites it with a cold solve.
+      WarmResult warm = ReSolveLpFeasibilityDual(work_, tab, stop_);
       solution_.AddLp(warm.lp);
       if (warm.status == WarmStatus::kAborted) {
         // The stop fired mid-pivot. No cold fallback — the point of
@@ -240,11 +215,6 @@ class BranchAndBound {
       }
       if (warm.status == WarmStatus::kOk) {
         ++solution_.warm_starts;
-        // The folded-back warm tableau must satisfy the same invariants as
-        // a cold export — this is where a broken dual pivot would surface.
-        if (warm.lp.feasible) {
-          XICC_DCHECK_AUDIT(AuditTableau(work_, *tab));
-        }
         return std::move(warm.lp);
       }
     }
@@ -290,25 +260,12 @@ class BranchAndBound {
   }
 
   bool ExploreWithCuts(const LpTableau* parent, size_t depth) {
-    // Node tableaus come from a free list: releasing back to it keeps the
-    // row vectors' capacities, so the per-node `*tab = *parent` copy settles
-    // into zero allocator traffic once the tree depth has been visited once.
-    // (LpTableau itself must stay heap-vector-backed — parents are shared
-    // down the DFS and outlive any one node's arena scope.)
-    PooledTableau local(this);
-    LpTableau* tab = local.get();
-    bool try_warm = parent != nullptr;
-    if (try_warm) {
-      // The sibling still needs `parent`, so every node works on a copy. The
-      // root may copy into the caller's scratch tableau instead of a pooled
-      // one — re-passing the same scratch across solves keeps its capacity
-      // warm from call to call, not just node to node.
-      if (parent == hint_ && options_.root_scratch != nullptr) {
-        tab = options_.root_scratch;
-      }
-      *tab = *parent;
-    }
-    LpResult lp = SolveNodeLp(tab, try_warm);
+    // The sibling still needs `parent`, so every node works on a copy —
+    // O(nonzeros), the tableau rows being sparse.
+    LpTableau tab;
+    const bool try_warm = parent != nullptr;
+    if (try_warm) tab = *parent;
+    LpResult lp = SolveNodeLp(&tab, try_warm);
 
     // Cut loop: solve, finish/prune, else strengthen with a Gomory cut and
     // warm re-solve from this node's own basis (one appended row).
@@ -338,24 +295,24 @@ class BranchAndBound {
         stopped_ = true;
         return false;
       }
-      std::optional<LinearConstraint> cut = DeriveGomoryCut(work_, *tab);
+      std::optional<LinearConstraint> cut = DeriveGomoryCut(work_, tab);
       if (!cut.has_value()) break;
       work_.AddRaw(std::move(*cut));
       ++solution_.cuts_added;
-      lp = SolveNodeLp(tab, /*try_warm=*/true);
+      lp = SolveNodeLp(&tab, /*try_warm=*/true);
     }
 
     const Num value = lp.values[fractional];
     work_.PushCheckpoint();
     work_.AddConstraint(LinearExpr::Var(fractional), RelOp::kLe,
                         value.Floor());
-    bool found = Explore(tab, depth + 1);
+    bool found = Explore(&tab, depth + 1);
     work_.PopCheckpoint();
     if (found) return true;
     work_.PushCheckpoint();
     work_.AddConstraint(LinearExpr::Var(fractional), RelOp::kGe,
                         value.Ceil());
-    found = Explore(tab, depth + 1);
+    found = Explore(&tab, depth + 1);
     work_.PopCheckpoint();
     return found;
   }
@@ -366,7 +323,6 @@ class BranchAndBound {
   /// Non-null iff options_.stop is armed; points into options_.
   const StopSignal* stop_ = nullptr;
   IlpSolution solution_;
-  std::vector<std::unique_ptr<LpTableau>> tableau_pool_;
   bool budget_hit_ = false;
   /// The stop signal fired (observed at a node, a cut round, or inside a
   /// pivot loop). Distinct from budget_hit_: a budget trip is a resource

@@ -41,14 +41,6 @@ struct IlpOptions {
   /// deterministic; >1 explores the top of the split tree in parallel with
   /// an unchanged verdict. Plain SolveIlp is always single-threaded.
   size_t num_threads = 1;
-  /// Caller-owned scratch tableau the ROOT branch-and-bound node copies the
-  /// warm hint into (instead of a fresh stack-local). Re-passing the same
-  /// scratch across many SolveIlp calls lets the copy reuse every limb
-  /// vector's capacity — the per-solve allocation burst of duplicating a
-  /// dense exact-rational tableau disappears after the first call. Must
-  /// outlive the solve, must not alias `warm_hint`, and must never be shared
-  /// across concurrent solves.
-  LpTableau* root_scratch = nullptr;
   /// Cooperative stop: a deadline and/or cancel token polled at bounded
   /// cost — once per branch-and-bound node, once per Gomory cut round, and
   /// on every pivot inside the LP substrate. When it fires the solve
@@ -105,7 +97,7 @@ struct SearchCounters {
   /// Folds in one LP solve: its pivots and sparse-kernel counters.
   void AddLp(const LpResult& lp) {
     lp_pivots += lp.pivots;
-    lp_kernel.Add(lp);
+    lp_kernel.Add(lp.kernel);
   }
 };
 

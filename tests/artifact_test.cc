@@ -13,8 +13,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/serde.h"
@@ -160,6 +162,48 @@ TEST(ArtifactRoundTripTest, ContentHashIsStableAndFileNameVersioned) {
       << name;
 }
 
+TEST(ArtifactRoundTripTest, IndependentCompilesSerializeToIdenticalBytes) {
+  // Content-keyed artifacts must be byte-reproducible: nothing run-dependent
+  // (such as the measured compile time) may reach the payload, so caches
+  // and CI can compare artifacts by checksum.
+  for (const Dtd& dtd : {workloads::CatalogDtd(8), workloads::AuctionDtd(4)}) {
+    auto first = CompileDtd(dtd);
+    auto second = CompileDtd(dtd);
+    ASSERT_TRUE(first.ok() && second.ok());
+    auto a = SerializeCompiledDtd(**first);
+    auto b = SerializeCompiledDtd(**second);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_TRUE(*a == *b) << "artifacts of one DTD differ in bytes ("
+                          << a->size() << " vs " << b->size() << ")";
+  }
+}
+
+TEST(ArtifactRoundTripTest, LoadedBundleReportsNoCompileTime) {
+  auto compiled = CompileDtd(workloads::CatalogDtd(2));
+  ASSERT_TRUE(compiled.ok());
+  auto loaded = RoundTrip(*compiled);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->compile_ms, 0.0);
+}
+
+TEST(ArtifactRoundTripTest, TableauRowsStoreOnlyNonzeros) {
+  auto compiled = CompileDtd(workloads::CatalogDtd(3));
+  ASSERT_TRUE(compiled.ok());
+  auto loaded = RoundTrip(*compiled);
+  ASSERT_NE(loaded, nullptr);
+  const LpTableau& want = (*compiled)->skeleton_tableau;
+  const LpTableau& got = loaded->skeleton_tableau;
+  ASSERT_EQ(got.rows.size(), want.rows.size());
+  for (size_t i = 0; i < want.rows.size(); ++i) {
+    ASSERT_EQ(got.rows[i].size(), want.rows[i].size()) << "row " << i;
+    for (size_t k = 0; k < want.rows[i].size(); ++k) {
+      EXPECT_EQ(got.rows[i][k].col, want.rows[i][k].col);
+      EXPECT_TRUE(got.rows[i][k].value == want.rows[i][k].value);
+      EXPECT_FALSE(got.rows[i][k].value.is_zero());
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Rejection: corrupt and mismatched containers
 
@@ -229,6 +273,68 @@ TEST(ArtifactRejectionTest, EmptyAndGarbageInputs) {
   const std::string zeros(4096, '\0');
   EXPECT_EQ(DeserializeCompiledDtd(zeros).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+/// Serializes CatalogDtd(2)'s bundle after `corrupt` rewrote the skeleton
+/// tableau — a v2 tableau section whose checksums are intact but whose row
+/// content is malformed — and returns the load status.
+template <typename Corrupt>
+Status LoadWithCorruptTableau(Corrupt corrupt) {
+  auto compiled = CompileDtd(workloads::CatalogDtd(2));
+  EXPECT_TRUE(compiled.ok());
+  // The bundle is private to this helper, so rewriting it in place cannot
+  // disturb any session.
+  CompiledDtd& bundle = const_cast<CompiledDtd&>(**compiled);
+  corrupt(&bundle.skeleton_tableau);
+  auto bytes = SerializeCompiledDtd(bundle);
+  EXPECT_TRUE(bytes.ok()) << bytes.status();
+  return DeserializeCompiledDtd(*bytes).status();
+}
+
+/// The first tableau row holding at least two entries.
+LpRow& WideRow(LpTableau* tab) {
+  for (LpRow& row : tab->rows) {
+    if (row.size() >= 2) return row;
+  }
+  ADD_FAILURE() << "no tableau row with two entries";
+  return tab->rows.front();
+}
+
+TEST(ArtifactRejectionTest, MalformedTableauRowsAreInvalidArgument) {
+  const struct {
+    const char* shape;
+    std::function<void(LpTableau*)> corrupt;
+  } cases[] = {
+      {"unsorted",
+       [](LpTableau* tab) {
+         LpRow& row = WideRow(tab);
+         std::swap(row[0], row[1]);
+       }},
+      {"duplicate",
+       [](LpTableau* tab) {
+         LpRow& row = WideRow(tab);
+         row[1].col = row[0].col;
+       }},
+      {"column past the width",
+       [](LpTableau* tab) {
+         tab->rows.front().push_back(
+             LpEntry{static_cast<int>(tab->columns.size()), Num(1)});
+       }},
+      {"negative column",
+       [](LpTableau* tab) {
+         LpRow& row = tab->rows.front();
+         row.insert(row.begin(), LpEntry{-1, Num(1)});
+       }},
+      {"stored zero",
+       [](LpTableau* tab) { tab->rows.front().front().value = Num(0); }},
+  };
+  for (const auto& c : cases) {
+    const Status status = LoadWithCorruptTableau(c.corrupt);
+    EXPECT_FALSE(status.ok()) << c.shape << " row accepted";
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.shape;
+    EXPECT_NE(status.message().find("tableau"), std::string::npos)
+        << c.shape << ": " << status;
+  }
 }
 
 // ---------------------------------------------------------------------------

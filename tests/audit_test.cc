@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/bigint.h"
@@ -101,6 +102,15 @@ struct TableauFixture {
     EXPECT_TRUE(lp.feasible);
   }
 
+  /// The stored cell of `row` at column `col` (which must be stored).
+  Num& Cell(size_t row, int col) {
+    for (LpEntry& entry : tableau.rows[row]) {
+      if (entry.col == col) return entry.value;
+    }
+    ADD_FAILURE() << "no stored cell at row " << row << ", column " << col;
+    return tableau.rows[row].front().value;
+  }
+
   /// Index of a row whose basis entry names a real column, for corruptions
   /// that need one.
   size_t BasicRow() const {
@@ -129,7 +139,7 @@ TEST(AuditTableauTest, RejectsBrokenUnitColumn) {
   TableauFixture fx;
   const size_t row = fx.BasicRow();
   const int col = fx.tableau.basis[row];
-  fx.tableau.rows[row][col] = Num(2);
+  fx.Cell(row, col) = Num(2);
   EXPECT_TRUE(Mentions(AuditTableau(fx.system, fx.tableau),
                        "not unit in its own row"))
       << Joined(AuditTableau(fx.system, fx.tableau));
@@ -138,8 +148,14 @@ TEST(AuditTableauTest, RejectsBrokenUnitColumn) {
   TableauFixture fy;
   const size_t other = (fy.BasicRow() + 1) % fy.tableau.rows.size();
   ASSERT_NE(other, fy.BasicRow());
-  fy.tableau.rows[other][fy.tableau.basis[fy.BasicRow()]] =
-      Num(1);
+  // A sparse row stores only nonzeros, so the stray cell is a new entry,
+  // inserted where the column order puts it.
+  const int basic_col = fy.tableau.basis[fy.BasicRow()];
+  LpRow& stray_row = fy.tableau.rows[other];
+  auto at = stray_row.begin();
+  while (at != stray_row.end() && at->col < basic_col) ++at;
+  ASSERT_TRUE(at == stray_row.end() || at->col != basic_col);
+  stray_row.insert(at, LpEntry{basic_col, Num(1)});
   EXPECT_TRUE(Mentions(AuditTableau(fy.system, fy.tableau),
                        "nonzero entry outside its row"))
       << Joined(AuditTableau(fy.system, fy.tableau));
@@ -206,10 +222,47 @@ TEST(AuditTableauTest, RejectsShapeMismatches) {
       Mentions(AuditTableau(fy.system, fy.tableau), "shape mismatch"))
       << Joined(AuditTableau(fy.system, fy.tableau));
 
+  // A sparse row has no width of its own; a row that does not fit the
+  // column list names a column past it.
   TableauFixture fz;
-  fz.tableau.rows[0].pop_back();
-  EXPECT_TRUE(Mentions(AuditTableau(fz.system, fz.tableau), "cells for"))
+  fz.tableau.rows[0].push_back(
+      LpEntry{static_cast<int>(fz.tableau.columns.size()), Num(1)});
+  EXPECT_TRUE(Mentions(AuditTableau(fz.system, fz.tableau), "outside width"))
       << Joined(AuditTableau(fz.system, fz.tableau));
+}
+
+TEST(AuditTableauTest, RejectsMalformedSparseRows) {
+  // Unsorted entries: swap the first two cells of a row holding two.
+  TableauFixture fx;
+  size_t row = 0;
+  while (row < fx.tableau.rows.size() && fx.tableau.rows[row].size() < 2) {
+    ++row;
+  }
+  ASSERT_LT(row, fx.tableau.rows.size());
+  std::swap(fx.tableau.rows[row][0], fx.tableau.rows[row][1]);
+  EXPECT_TRUE(Mentions(AuditTableau(fx.system, fx.tableau),
+                       "not strictly increasing"))
+      << Joined(AuditTableau(fx.system, fx.tableau));
+
+  // Duplicate entries: the same column stored twice.
+  TableauFixture fy;
+  fy.tableau.rows[0].push_back(fy.tableau.rows[0].back());
+  EXPECT_TRUE(Mentions(AuditTableau(fy.system, fy.tableau),
+                       "not strictly increasing"))
+      << Joined(AuditTableau(fy.system, fy.tableau));
+
+  // A stored zero: absent columns are the zeros, so one in the list is a
+  // sparse-form violation even where the algebra would not mind.
+  TableauFixture fz;
+  fz.tableau.rows[0].front().value = Num(0);
+  EXPECT_TRUE(Mentions(AuditTableau(fz.system, fz.tableau), "zero cell stored"))
+      << Joined(AuditTableau(fz.system, fz.tableau));
+
+  // A negative column.
+  TableauFixture fw;
+  fw.tableau.rows[0].insert(fw.tableau.rows[0].begin(), LpEntry{-1, Num(1)});
+  EXPECT_TRUE(Mentions(AuditTableau(fw.system, fw.tableau), "outside width"))
+      << Joined(AuditTableau(fw.system, fw.tableau));
 }
 
 // ------------------------------------------------------- AuditCompiledDtd.

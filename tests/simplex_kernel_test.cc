@@ -11,6 +11,7 @@
 
 #include "base/bigint.h"
 #include "base/num.h"
+#include "ilp/audit.h"
 #include "ilp/linear_system.h"
 #include "ilp/simplex.h"
 
@@ -58,7 +59,7 @@ TEST(AntiCyclingTest, PureDantzigCyclesOnTheFixture) {
   EXPECT_TRUE(lp.pivot_cap_hit);
   EXPECT_TRUE(lp.aborted);
   EXPECT_EQ(lp.pivots, 1000u);
-  EXPECT_EQ(lp.bland_fallbacks, 0u);
+  EXPECT_EQ(lp.kernel.bland_fallbacks, 0u);
 }
 
 TEST(AntiCyclingTest, DegeneracyFallbackTerminatesTheFixture) {
@@ -68,9 +69,9 @@ TEST(AntiCyclingTest, DegeneracyFallbackTerminatesTheFixture) {
   EXPECT_TRUE(lp.feasible);  // x = 0 satisfies every row.
   // The degeneracy streak must actually have fired the fallback, and the
   // fallback's Bland pivots finished the solve.
-  EXPECT_GE(lp.bland_fallbacks, 1u);
-  EXPECT_GE(lp.bland_pivots, 1u);
-  EXPECT_EQ(lp.pivots, lp.dantzig_pivots + lp.bland_pivots);
+  EXPECT_GE(lp.kernel.bland_fallbacks, 1u);
+  EXPECT_GE(lp.kernel.bland_pivots, 1u);
+  EXPECT_EQ(lp.pivots, lp.kernel.dantzig_pivots + lp.kernel.bland_pivots);
 }
 
 TEST(AntiCyclingTest, BlandOnlyConfigTerminatesTheFixture) {
@@ -81,8 +82,8 @@ TEST(AntiCyclingTest, BlandOnlyConfigTerminatesTheFixture) {
   LpResult lp = SolveLpFeasibility(sys);
   ASSERT_FALSE(lp.aborted);
   EXPECT_TRUE(lp.feasible);
-  EXPECT_EQ(lp.dantzig_pivots, 0u);
-  EXPECT_EQ(lp.pivots, lp.bland_pivots);
+  EXPECT_EQ(lp.kernel.dantzig_pivots, 0u);
+  EXPECT_EQ(lp.pivots, lp.kernel.bland_pivots);
 }
 
 TEST(AntiCyclingTest, DenseReferenceAgreesOnTheFixture) {
@@ -167,12 +168,83 @@ TEST(SimplexDifferentialTest, SparseKernelMatchesDenseBlandOnRandomSystems) {
       ++infeasible;
     }
     // The split instrumentation must always reconcile with the total.
-    ASSERT_EQ(sparse.pivots, sparse.dantzig_pivots + sparse.bland_pivots)
+    ASSERT_EQ(sparse.pivots,
+              sparse.kernel.dantzig_pivots + sparse.kernel.bland_pivots)
         << "trial " << trial;
   }
   // Both verdicts must actually be exercised, or the generator is broken.
   EXPECT_GT(feasible, 0u);
   EXPECT_GT(infeasible, 0u);
+}
+
+TEST(SimplexDifferentialTest, WarmDualReSolveMatchesColdOnAppendedRows) {
+  // Random feasible prefixes, then 1–3 appended rows of every RelOp: the
+  // warm dual re-solve from the prefix's exported tableau must reach the
+  // cold verdict, and every kept (kOk, feasible) tableau must pass the
+  // tableau auditor — called directly, so plain builds check it too.
+  std::mt19937_64 rng(0xD0A1);
+  std::uniform_int_distribution<int> nvars(1, 4);
+  std::uniform_int_distribution<int> nrows(1, 4);
+  std::uniform_int_distribution<int> nappend(1, 3);
+  std::uniform_int_distribution<int> coef(-4, 4);
+  std::uniform_int_distribution<int> rhs_val(-6, 6);
+  std::uniform_int_distribution<int> op_kind(0, 2);
+  auto random_row = [&](LinearSystem* sys, int nv, RelOp op) {
+    LinearExpr expr;
+    for (int v = 0; v < nv; ++v) {
+      const int c = coef(rng);
+      if (c != 0) expr.Add(v, BigInt(c));
+    }
+    sys->AddConstraint(expr, op, BigInt(rhs_val(rng)));
+  };
+  auto random_op = [&] {
+    const int k = op_kind(rng);
+    return k == 0 ? RelOp::kLe : (k == 1 ? RelOp::kGe : RelOp::kEq);
+  };
+
+  size_t appended_by_op[3] = {0, 0, 0};
+  size_t warm_feasible = 0, warm_infeasible = 0;
+  constexpr int kTrials = 4000;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const int nv = nvars(rng);
+    LinearSystem sys;
+    for (int v = 0; v < nv; ++v) sys.AddVariable("x" + std::to_string(v));
+    const int nr = nrows(rng);
+    for (int r = 0; r < nr; ++r) random_row(&sys, nv, random_op());
+    LpTableau tab;
+    if (!SolveLpFeasibility(sys, &tab).feasible) continue;
+    ASSERT_TRUE(AuditTableau(sys, tab).empty()) << "trial " << trial;
+
+    const int na = nappend(rng);
+    for (int r = 0; r < na; ++r) {
+      const RelOp op = random_op();
+      ++appended_by_op[static_cast<int>(op)];
+      random_row(&sys, nv, op);
+    }
+    const LpResult cold = SolveLpFeasibility(sys);
+    const WarmResult warm = ReSolveLpFeasibilityDual(sys, &tab);
+    ASSERT_NE(warm.status, WarmStatus::kPivotLimit) << "trial " << trial;
+    ASSERT_NE(warm.status, WarmStatus::kAborted) << "trial " << trial;
+    if (warm.status != WarmStatus::kOk) continue;  // Callers go cold.
+    ASSERT_EQ(warm.lp.feasible, cold.feasible)
+        << "warm/cold divergence at trial " << trial << ":\n"
+        << sys.ToString();
+    if (!warm.lp.feasible) {
+      ++warm_infeasible;
+      continue;
+    }
+    ++warm_feasible;
+    ASSERT_TRUE(SatisfiesSystem(sys, warm.lp.values))
+        << "warm vertex violates the system at trial " << trial << ":\n"
+        << sys.ToString();
+    const std::vector<std::string> violations = AuditTableau(sys, tab);
+    ASSERT_TRUE(violations.empty())
+        << "trial " << trial << ": " << violations.front();
+    ASSERT_EQ(tab.num_constraints, sys.NumConstraints());
+  }
+  for (size_t count : appended_by_op) EXPECT_GT(count, 0u);
+  EXPECT_GT(warm_feasible, 0u);
+  EXPECT_GT(warm_infeasible, 0u);
 }
 
 // ------------------------------------------------------ Instrumentation.
@@ -195,12 +267,12 @@ TEST(SparseKernelStatsTest, DensityCountersMatchTheSystem) {
 
   LpResult lp = SolveLpFeasibility(sys);
   ASSERT_TRUE(lp.feasible);
-  EXPECT_EQ(lp.total_cells, 12u);
-  EXPECT_EQ(lp.nnz_cells, 7u);
+  EXPECT_EQ(lp.kernel.total_cells, 12u);
+  EXPECT_EQ(lp.kernel.nnz_cells, 7u);
   EXPECT_EQ(sys.NumNonzeros(), 4u);
   // These tiny coefficients never leave the int64 fast lane.
-  EXPECT_EQ(lp.fast_row_promotions, 0u);
-  EXPECT_GT(lp.fast_rows, 0u);
+  EXPECT_EQ(lp.kernel.fast_row_promotions, 0u);
+  EXPECT_GT(lp.kernel.fast_rows, 0u);
 }
 
 TEST(SparseKernelStatsTest, ScopedPricingConfigRestores) {
