@@ -119,6 +119,7 @@ void RunLpSection(bench::JsonReport& report) {
         .Set("pivots", kept.pivots)
         .Set("dantzig_pivots", kept.kernel.dantzig_pivots)
         .Set("bland_pivots", kept.kernel.bland_pivots)
+        .Set("drive_out_pivots", kept.kernel.drive_out_pivots)
         .Set("bland_fallbacks", kept.kernel.bland_fallbacks)
         .Set("nnz_density", nnz_density)
         .Set("fill_in", kept.kernel.fill_in)
@@ -203,6 +204,7 @@ void RunConsistencySection(bench::JsonReport& report) {
         .Set("arena_bytes", total.arena_bytes)
         .Set("dantzig_pivots", kernel.dantzig_pivots)
         .Set("bland_pivots", kernel.bland_pivots)
+        .Set("drive_out_pivots", kernel.drive_out_pivots)
         .Set("bland_fallbacks", kernel.bland_fallbacks)
         .Set("fill_in", kernel.fill_in)
         .Set("nnz_density",  // xicc-lint: allow(exact-arithmetic)

@@ -5,8 +5,8 @@ Reads BENCH_ilp.json and fails the build if the kernel's contract broke:
 
 1. Every `lp` row must carry the kernel instrumentation — `pivots`,
    `nnz_density`, `time_ms`, `dense_time_ms`, `speedup_vs_dense_x`,
-   `fill_in`, and the pricing split (`dantzig_pivots`, `bland_pivots`,
-   `bland_fallbacks`). Missing fields mean the instrumentation layer was
+   `fill_in`, and the pivot split (`dantzig_pivots`, `bland_pivots`,
+   `drive_out_pivots`, `bland_fallbacks`). Missing fields mean the instrumentation layer was
    disconnected from the bench, which makes any future kernel regression
    unattributable from CI logs alone.
 
@@ -37,6 +37,7 @@ LP_FIELDS = (
     "pivots",
     "dantzig_pivots",
     "bland_pivots",
+    "drive_out_pivots",
     "bland_fallbacks",
     "nnz_density",
     "fill_in",
@@ -78,7 +79,8 @@ def main() -> int:
             f"{row['dense_time_ms']:.3f} ms "
             f"({row['speedup_vs_dense_x']:.2f}x), {row['pivots']} pivots "
             f"({row['dantzig_pivots']} dantzig / {row['bland_pivots']} "
-            f"bland, {row['bland_fallbacks']} fallbacks), density "
+            f"bland / {row['drive_out_pivots']} drive-out, "
+            f"{row['bland_fallbacks']} fallbacks), density "
             f"{row['nnz_density']:.4f}, fill-in {row['fill_in']}"
         )
 

@@ -79,11 +79,17 @@ class SparseKernel {
         nums_(rows * cols, 0, ArenaAllocator<Word>(arena)),
         dens_(rows * cols, 1, ArenaAllocator<Word>(arena)),
         exact_(rows),
-        support_(rows) {}
+        support_(rows),
+        col_count_(cols - 1, 0) {}
 
   size_t rows() const { return rows_; }
-  std::vector<int>& support(size_t i) { return support_[i]; }
+  size_t rhs_col() const { return cols_ - 1; }
+  size_t objective_row() const { return rows_ - 1; }
   const std::vector<int>& support(size_t i) const { return support_[i]; }
+  /// Constraint rows (the objective row excluded) whose support holds
+  /// column j — the column half of the Markowitz count. Kept current by
+  /// AppendSupport and MergeSupport, never recounted.
+  size_t ColumnCount(size_t j) const { return col_count_[j]; }
   bool IsFast(size_t i) const { return exact_[i].empty(); }
 
   bool IsZero(size_t i, size_t j) const {
@@ -121,6 +127,13 @@ class SparseKernel {
     exact_[i][j] = value;
   }
 
+  /// Construction-time support append; columns must arrive in increasing
+  /// order per row.
+  void AppendSupport(size_t i, int j) {
+    support_[i].push_back(j);
+    if (i != objective_row()) ++col_count_[static_cast<size_t>(j)];
+  }
+
   /// One full pivot at (pivot_row, entering): normalize the pivot row, then
   /// eliminate the entering column from every other row (objective row
   /// included), walking only the pivot row's support.
@@ -136,16 +149,19 @@ class SparseKernel {
 
   /// Support invariants of every row, for XICC_DCHECK_AUDIT at solve
   /// checkpoints: each support, read as a sparse row, passes
-  /// AuditRowSupport, and no nonzero cell is missing from it.
+  /// AuditRowSupport, no nonzero cell is missing from it, and every column
+  /// count equals the number of constraint-row supports holding the
+  /// column.
   std::vector<std::string> AuditSupports() const {
     std::vector<std::string> out;
     const size_t width = cols_ - 1;  // The rhs cell sits outside supports.
+    std::vector<size_t> counted(width, 0);
     for (size_t i = 0; i < rows_; ++i) {
       LpRow row;
       for (int j : support_[i]) {
-        row.push_back({j, static_cast<size_t>(j) < width
-                              ? Get(i, static_cast<size_t>(j))
-                              : Num()});
+        const bool in_range = j >= 0 && static_cast<size_t>(j) < width;
+        row.push_back({j, in_range ? Get(i, static_cast<size_t>(j)) : Num()});
+        if (in_range && i != objective_row()) ++counted[static_cast<size_t>(j)];
       }
       std::vector<std::string> row_out = AuditRowSupport(row, width, i);
       out.insert(out.end(), row_out.begin(), row_out.end());
@@ -156,6 +172,13 @@ class SparseKernel {
           out.push_back("nonzero cell missing from support at row " +
                         std::to_string(i) + ", column " + std::to_string(j));
         }
+      }
+    }
+    for (size_t j = 0; j < width; ++j) {
+      if (counted[j] != col_count_[j]) {
+        out.push_back("column count " + std::to_string(col_count_[j]) +
+                      " at column " + std::to_string(j) + ", but " +
+                      std::to_string(counted[j]) + " supports hold it");
       }
     }
     return out;
@@ -264,10 +287,13 @@ class SparseKernel {
   /// support_i := sorted union of support_i and support_p minus cells that
   /// cancelled to zero. Cells only in support_i were untouched by the axpy
   /// and stay without a test; cells from support_p are tested, and the ones
-  /// absent from support_i that came out nonzero are fill-in.
+  /// absent from support_i that came out nonzero are fill-in. A constraint
+  /// row's column counts follow: fill-in adds the row to its column, a
+  /// cancelled cell removes it.
   void MergeSupport(size_t i, size_t p, LpKernelStats* stats) {
     const std::vector<int>& a = support_[i];
     const std::vector<int>& b = support_[p];
+    const bool counted = i != objective_row();
     merge_scratch_.clear();
     size_t x = 0;
     size_t y = 0;
@@ -281,7 +307,12 @@ class SparseKernel {
       if (!fresh) ++x;
       if (!IsZero(i, static_cast<size_t>(col))) {
         merge_scratch_.push_back(col);
-        if (fresh) ++stats->fill_in;
+        if (fresh) {
+          ++stats->fill_in;
+          if (counted) ++col_count_[static_cast<size_t>(col)];
+        }
+      } else if (!fresh && counted) {
+        --col_count_[static_cast<size_t>(col)];
       }
     }
     support_[i].swap(merge_scratch_);
@@ -298,8 +329,49 @@ class SparseKernel {
   /// storage — promotions are rare and must survive arena-free pivoting.
   std::vector<std::vector<Num>> exact_;
   std::vector<std::vector<int>> support_;
+  std::vector<size_t> col_count_;
   std::vector<int> merge_scratch_;
 };
+
+/// Pivots every basic artificial at value 0 out of the basis, row by row.
+/// The entering column is the row's structural or slack cell of lowest
+/// Markowitz count (row nonzeros − 1)·(column nonzeros − 1) over the
+/// constraint rows; the row factor is fixed within a row, so that is the
+/// column with the fewest nonzeros, ties to the lower column — the pivot
+/// that can fill in the fewest cells.
+/// The row's rhs is 0, so the pivot is degenerate: no value moves,
+/// feasibility holds, and the pivot cell may be negative. Each pivot
+/// retires one artificial for good and only non-artificial columns enter,
+/// so the loop ends; a degenerate pivot also leaves every other row's rhs
+/// and artificial-only status alone, so one pass over the rows suffices. A
+/// row with no such cell is redundant and keeps its artificial. Polls
+/// `stop` on every pivot; returns false when it fired.
+bool DriveOutArtificials(SparseKernel* kernel, std::vector<int>* basis,
+                         size_t num_structural_slack, const StopSignal* stop,
+                         LpResult* result) {
+  for (size_t i = 0; i < basis->size(); ++i) {
+    if (static_cast<size_t>((*basis)[i]) < num_structural_slack) continue;
+    if (!kernel->IsZero(i, kernel->rhs_col())) continue;
+    size_t entering = num_structural_slack;
+    // Supports are sorted, so the artificial columns form their tail.
+    for (int j : kernel->support(i)) {
+      const size_t col = static_cast<size_t>(j);
+      if (col >= num_structural_slack) break;
+      if (entering == num_structural_slack ||
+          kernel->ColumnCount(col) < kernel->ColumnCount(entering)) {
+        entering = col;
+      }
+    }
+    if (entering == num_structural_slack) continue;  // Redundant row.
+    XICC_FAULT_PROBE(kSimplexPivot);
+    if (stop != nullptr && stop->ShouldStop()) return false;
+    ++result->pivots;
+    ++result->kernel.drive_out_pivots;
+    kernel->PivotApply(i, entering, &result->kernel);
+    (*basis)[i] = static_cast<int>(entering);
+  }
+  return true;
+}
 
 // ---------------------------------------------------------------------------
 // Sparse-row operations for the dual (warm) re-solve, which pivots directly
@@ -451,7 +523,7 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
       if (coeff.is_zero()) continue;
       kernel.InitCell(i, static_cast<size_t>(var),
                       sign < 0 ? -coeff : coeff, &result.kernel);
-      kernel.support(i).push_back(static_cast<int>(var));
+      kernel.AppendSupport(i, static_cast<int>(var));
     }
     kernel.InitCell(i, rhs_col, plan[i].negate ? -c.rhs : c.rhs,
                     &result.kernel);
@@ -460,14 +532,14 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
       const int slack_sign = (c.op == RelOp::kLe ? 1 : -1) * sign;
       kernel.InitCell(i, static_cast<size_t>(slack_col[i]), Num(slack_sign),
                       &result.kernel);
-      kernel.support(i).push_back(slack_col[i]);
+      kernel.AppendSupport(i, slack_col[i]);
     }
     if (plan[i].use_slack) {
       basis[i] = slack_col[i];
     } else {
       plan[i].artificial_col = static_cast<int>(next_artificial);
       kernel.InitCell(i, next_artificial, Num(1), &result.kernel);
-      kernel.support(i).push_back(static_cast<int>(next_artificial));
+      kernel.AppendSupport(i, static_cast<int>(next_artificial));
       basis[i] = static_cast<int>(next_artificial);
       ++next_artificial;
     }
@@ -494,8 +566,20 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
       if (j >= num_structural_slack && j < total) continue;  // Artificial.
       if (objective[j].is_zero()) continue;
       kernel.InitCell(m, j, -objective[j], &result.kernel);
-      if (j < total) kernel.support(m).push_back(static_cast<int>(j));
+      if (j < total) kernel.AppendSupport(m, static_cast<int>(j));
     }
+  }
+  XICC_DCHECK_AUDIT(kernel.AuditSupports());
+
+  // Crash: Ψ's rows are mostly homogeneous equalities, each seeded by an
+  // artificial at value 0. Pivoting those artificials out before pricing
+  // costs one sparse degenerate pivot each; left to pricing, they feed a
+  // long degenerate tail whose pivots fill the tableau in.
+  if (!DriveOutArtificials(&kernel, &basis, num_structural_slack, stop,
+                           &result)) {
+    result.aborted = true;
+    result.feasible = false;
+    return result;
   }
   XICC_DCHECK_AUDIT(kernel.AuditSupports());
 
@@ -504,9 +588,9 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
   // trips the Bland fallback; Bland's smallest-index rule cannot cycle, and
   // it stays engaged until a pivot strictly improves the objective, which
   // restores termination: an infinite run would have an all-degenerate tail,
-  // which locks Bland in permanently — contradiction. The ratio test
-  // (smallest ratio, ties to the smallest basic index) is unchanged from the
-  // dense reference.
+  // which locks Bland in permanently — contradiction. In Bland mode the
+  // ratio test (smallest ratio, ties to the smallest basic index) is the
+  // dense reference's.
   const LpPricingConfig pricing = GetLpPricingConfig();
   bool bland_mode = !pricing.dantzig;
   size_t degenerate_streak = 0;
@@ -547,13 +631,22 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
     }
     if (entering == total) break;  // Optimal.
 
+    // Ratio ties go to the smallest basic index, which Bland's termination
+    // argument needs; under Dantzig they first go to the row with fewer
+    // nonzeros, whose elimination can fill in fewer cells.
     size_t pivot_row = m;
     Num best_ratio;
     for (size_t i = 0; i < m; ++i) {
       if (kernel.SignAt(i, entering) <= 0) continue;
       Num ratio = kernel.Get(i, rhs_col) / kernel.Get(i, entering);
-      if (pivot_row == m || ratio < best_ratio ||
-          (ratio == best_ratio && basis[i] < basis[pivot_row])) {
+      bool take = pivot_row == m || ratio < best_ratio;
+      if (!take && ratio == best_ratio) {
+        const size_t nnz = kernel.support(i).size();
+        const size_t best_nnz = kernel.support(pivot_row).size();
+        take = !bland_mode && nnz != best_nnz ? nnz < best_nnz
+                                              : basis[i] < basis[pivot_row];
+      }
+      if (take) {
         pivot_row = i;
         best_ratio = std::move(ratio);
       }
@@ -594,26 +687,15 @@ LpResult SolveLpFeasibility(const LinearSystem& system, LpTableau* tableau,
   }
   result.feasible = true;
 
-  // Drive degenerate artificials (basic at value 0 — routine for equality
-  // rows) out of the basis: pivot on the smallest nonzero structural/slack
-  // column in the row — the head of the support list, if it sits below the
-  // artificial block. The pivot is at rhs = 0, so no value or feasibility
-  // changes — it only makes the exported basis artificial-free, which the
-  // dual-simplex warm re-solve requires. A row with no such entry is a
-  // redundant constraint and keeps its artificial (basis[i] = -1 below).
+  // Artificials that pricing left basic are at value 0 now. Driving them
+  // out changes no value; it only makes the exported basis artificial-free,
+  // which the dual-simplex warm re-solve requires.
   if (tableau != nullptr) {
-    for (size_t i = 0; i < m; ++i) {
-      if (static_cast<size_t>(basis[i]) < num_structural_slack) continue;
-      const std::vector<int>& sup = kernel.support(i);
-      if (sup.empty() ||
-          sup.front() >= static_cast<int>(num_structural_slack)) {
-        continue;  // Redundant row.
-      }
-      const size_t entering = static_cast<size_t>(sup.front());
-      ++result.pivots;
-      ++result.kernel.bland_pivots;
-      kernel.PivotApply(i, entering, &result.kernel);
-      basis[i] = static_cast<int>(entering);
+    if (!DriveOutArtificials(&kernel, &basis, num_structural_slack, stop,
+                             &result)) {
+      result.aborted = true;
+      result.feasible = false;
+      return result;
     }
     XICC_DCHECK_AUDIT(kernel.AuditSupports());
   }

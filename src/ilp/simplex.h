@@ -59,12 +59,14 @@ struct LpTableau {
 /// the same counters summed over many solves (branch-and-bound, case-split,
 /// sessions).
 struct LpKernelStats {
-  /// Pivots priced by each rule. Warm (dual) re-solves are always Bland, so
-  /// there dantzig_pivots stays 0; pivots == dantzig_pivots + bland_pivots
-  /// (drive-out pivots of degenerate artificials count as Bland — they use
-  /// the same smallest-index selection).
+  /// Pivots priced by each rule, and the cold solve's Markowitz-ordered
+  /// pivots that drive basic artificials at value 0 out of the basis (the
+  /// crash before pricing and the drive-out after it). Warm (dual)
+  /// re-solves are always Bland, so there the other two stay 0;
+  /// pivots == dantzig_pivots + bland_pivots + drive_out_pivots.
   size_t dantzig_pivots = 0;
   size_t bland_pivots = 0;
+  size_t drive_out_pivots = 0;
   /// How many times a degeneracy streak forced the Dantzig→Bland fallback.
   size_t bland_fallbacks = 0;
   /// Cells that went zero→nonzero under pivot elimination — the sparsity
@@ -83,6 +85,7 @@ struct LpKernelStats {
   void Add(const LpKernelStats& other) {
     dantzig_pivots += other.dantzig_pivots;
     bland_pivots += other.bland_pivots;
+    drive_out_pivots += other.drive_out_pivots;
     bland_fallbacks += other.bland_fallbacks;
     fill_in += other.fill_in;
     nnz_cells += other.nnz_cells;
@@ -114,7 +117,8 @@ struct LpResult {
 /// parameter through every caller; production code never touches it.
 struct LpPricingConfig {
   /// Dantzig pricing (most negative reduced cost) with the degeneracy
-  /// fallback below; false = pure Bland from the first pivot.
+  /// fallback below; false = pure Bland from the first pricing pivot (the
+  /// crash before pricing runs either way).
   bool dantzig = true;
   /// Consecutive degenerate pivots tolerated before falling back to Bland's
   /// rule (which cannot cycle). 0 disables the fallback — tests use that to
@@ -146,10 +150,12 @@ class ScopedLpPricingConfig {
 /// Decides feasibility of the LP relaxation of `system` (variables rational,
 /// ≥ 0) and returns a vertex solution.
 ///
-/// Implementation: phase-1 simplex on exact rationals with Bland's rule.
-/// Constraints become equalities via slack/surplus columns; where a slack
-/// can seed the basis directly (≤ rows with nonnegative rhs) no artificial
-/// is created. Feasible iff the artificial mass minimizes to 0.
+/// Implementation: phase-1 simplex on exact rationals. Constraints become
+/// equalities via slack/surplus columns; where a slack can seed the basis
+/// directly (≤ rows with nonnegative rhs) no artificial is created. A
+/// Markowitz-ordered crash first pivots the artificials of rhs-0 rows out
+/// of the basis; Dantzig pricing with a Bland fallback finishes. Feasible
+/// iff the artificial mass minimizes to 0.
 ///
 /// When `tableau` is non-null and the LP is feasible, the final basis rows
 /// are exported for Gomory cut generation and warm re-solving.

@@ -128,7 +128,8 @@ void PrintArithmeticAndKernel(const ConsistencyStats& stats,
       << stats.arena_bytes << " bytes\n";
   const LpKernelStats& k = stats.lp_kernel;
   out << "lp kernel:  " << k.dantzig_pivots << " dantzig / " << k.bland_pivots
-      << " bland pivots, " << k.bland_fallbacks << " fallbacks, fill-in "
+      << " bland / " << k.drive_out_pivots << " drive-out pivots, "
+      << k.bland_fallbacks << " fallbacks, fill-in "
       << k.fill_in << ", nnz " << k.nnz_cells << "/" << k.total_cells
       << " cells, fast rows " << k.fast_rows << " (" << k.fast_row_promotions
       << " promoted)\n";

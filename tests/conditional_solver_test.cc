@@ -158,12 +158,12 @@ TEST(ConditionalSolverTest, SearchCountersAddSumsAndMaxesDepth) {
   a.warm_starts = 4;
   a.cold_restarts = 5;
   a.search_depth = 9;
-  a.lp_kernel = {6, 7, 8, 9, 10, 11, 12, 13};
-  a.num_small_ops = 14;
-  a.num_big_ops = 15;
-  a.num_promotions = 16;
-  a.num_demotions = 17;
-  a.arena_bytes = 18;
+  a.lp_kernel = {6, 7, 8, 9, 10, 11, 12, 13, 14};
+  a.num_small_ops = 15;
+  a.num_big_ops = 16;
+  a.num_promotions = 17;
+  a.num_demotions = 18;
+  a.arena_bytes = 19;
   a.ilp_wall_ms = 0.5;
   SearchCounters b = a;
   b.search_depth = 4;
@@ -181,17 +181,18 @@ TEST(ConditionalSolverTest, SearchCountersAddSumsAndMaxesDepth) {
     EXPECT_EQ(sum.search_depth, 9u);
     EXPECT_EQ(sum.lp_kernel.dantzig_pivots, 12u);
     EXPECT_EQ(sum.lp_kernel.bland_pivots, 14u);
-    EXPECT_EQ(sum.lp_kernel.bland_fallbacks, 16u);
-    EXPECT_EQ(sum.lp_kernel.fill_in, 18u);
-    EXPECT_EQ(sum.lp_kernel.nnz_cells, 20u);
-    EXPECT_EQ(sum.lp_kernel.total_cells, 22u);
-    EXPECT_EQ(sum.lp_kernel.fast_rows, 24u);
-    EXPECT_EQ(sum.lp_kernel.fast_row_promotions, 26u);
-    EXPECT_EQ(sum.num_small_ops, 28u);
-    EXPECT_EQ(sum.num_big_ops, 30u);
-    EXPECT_EQ(sum.num_promotions, 32u);
-    EXPECT_EQ(sum.num_demotions, 34u);
-    EXPECT_EQ(sum.arena_bytes, 36u);
+    EXPECT_EQ(sum.lp_kernel.drive_out_pivots, 16u);
+    EXPECT_EQ(sum.lp_kernel.bland_fallbacks, 18u);
+    EXPECT_EQ(sum.lp_kernel.fill_in, 20u);
+    EXPECT_EQ(sum.lp_kernel.nnz_cells, 22u);
+    EXPECT_EQ(sum.lp_kernel.total_cells, 24u);
+    EXPECT_EQ(sum.lp_kernel.fast_rows, 26u);
+    EXPECT_EQ(sum.lp_kernel.fast_row_promotions, 28u);
+    EXPECT_EQ(sum.num_small_ops, 30u);
+    EXPECT_EQ(sum.num_big_ops, 32u);
+    EXPECT_EQ(sum.num_promotions, 34u);
+    EXPECT_EQ(sum.num_demotions, 36u);
+    EXPECT_EQ(sum.arena_bytes, 38u);
     EXPECT_DOUBLE_EQ(sum.ilp_wall_ms, 1.0);
   }
 }

@@ -35,6 +35,17 @@ workloads::LipEncoding ExplodingSpec() {
                            /*ones_per_row=*/3));
 }
 
+/// The one-shot CheckConsistency of ExplodingSpec is only ~70 ms in
+/// Release once the crash clears its root LP — next to the 30 ms and
+/// 50 ms budgets of the one-shot tests below. This larger instance takes
+/// about 1 s one-shot (20× the 50 ms budget). The tests only need the stop
+/// to cut the solve, so its size costs them nothing.
+workloads::LipEncoding OneShotExplodingSpec() {
+  return workloads::EncodeLipAsConsistency(
+      workloads::RandomLip(/*seed=*/3, /*rows=*/30, /*cols=*/60,
+                           /*ones_per_row=*/3));
+}
+
 TEST(DeadlineTest, DefaultIsInfinite) {
   Deadline d;
   EXPECT_TRUE(d.IsInfinite());
@@ -209,7 +220,7 @@ TEST(ConsistencyDeadlineTest, ExpiredDeadlineIsNotAVerdict) {
 }
 
 TEST(ConsistencyDeadlineTest, MidSearchDeadlineReturnsPartialStats) {
-  workloads::LipEncoding spec = ExplodingSpec();
+  workloads::LipEncoding spec = OneShotExplodingSpec();
   ConsistencyOptions options;
   ConsistencyStats partial;
   options.partial_stats = &partial;
@@ -239,7 +250,7 @@ TEST(ConsistencyDeadlineTest, MidSearchDeadlineReturnsPartialStats) {
 }
 
 TEST(ConsistencyDeadlineTest, CancelMidSearchReturnsCancelled) {
-  workloads::LipEncoding spec = ExplodingSpec();
+  workloads::LipEncoding spec = OneShotExplodingSpec();
   CancelToken token;
   CancelTimer timer(&token, 30);
   ConsistencyOptions options;

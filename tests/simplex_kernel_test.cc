@@ -1,7 +1,8 @@
 // Sparse pricing-driven kernel (DESIGN.md §12): the anti-cycling contract
 // of the Dantzig→Bland degeneracy fallback, randomized differential parity
-// against the dense-Bland reference solver, and the kernel's
-// instrumentation counters.
+// against the dense-Bland reference solver (on general systems and on
+// Ψ-shaped ones, where the crash does most of the work), the crash's own
+// contract, and the kernel's instrumentation counters.
 
 #include <gtest/gtest.h>
 
@@ -11,9 +12,11 @@
 
 #include "base/bigint.h"
 #include "base/num.h"
+#include "core/cardinality_encoding.h"
 #include "ilp/audit.h"
 #include "ilp/linear_system.h"
 #include "ilp/simplex.h"
+#include "workloads/generators.h"
 
 namespace xicc {
 namespace {
@@ -21,28 +24,36 @@ namespace {
 // ------------------------------------------------------- Anti-cycling.
 
 /// The Beale/Chvátal cycling LP (Chvátal, "Linear Programming", ch. 3)
-/// mapped into phase-1 form. Rows are scaled ×2 to integer coefficients,
-/// x4/x5 play the example's slack columns as structural variables, and the
-/// last row is a driver whose coefficients make the artificial column sums
-/// — and therefore the initial phase-1 reduced-cost row — equal the
-/// example's objective. Every rhs is 0, so every pivot is degenerate and
-/// Dantzig pricing with the example's tie-breaks revisits the same basis
-/// forever; Bland's rule walks out in a handful of pivots.
+/// mapped into phase-1 form. The example's two cycling rows are scaled ×2
+/// to integer coefficients, with x4/x5 playing the example's slack columns
+/// as structural variables. Both rows are ≤ 0 rows, so their own slacks
+/// seed the basis; each is a half-scaled copy of the x4/x5 column, so it
+/// shares that column's reduced-cost sign, never beats it in pricing, and
+/// ties in the ratio test exactly as x4/x5 would. The last row is a driver
+/// equality with rhs 1 whose coefficients are the example's objective: its
+/// artificial is the only one, so the initial phase-1 reduced-cost row is
+/// the example's, and the crash — which only touches artificials at value
+/// 0 — leaves the basis alone. The driver's ratio is always positive, so
+/// every pivot of the cycle is degenerate in a ≤ row, and Dantzig pricing
+/// (ratio ties to the sparser row, then the smaller basic index) revisits
+/// the example's six bases forever; Bland's rule walks out in a handful of
+/// pivots. x = (1, 0, 1, 0, 2, 0) is feasible.
 LinearSystem CyclingFixture() {
   LinearSystem sys;
   for (int i = 0; i < 6; ++i) sys.AddVariable("x" + std::to_string(i));
-  auto add_row = [&sys](std::initializer_list<int> coeffs) {
+  auto add_row = [&sys](std::initializer_list<int> coeffs, RelOp op,
+                        int rhs) {
     LinearExpr expr;
     int var = 0;
     for (int c : coeffs) {
       if (c != 0) expr.Add(var, BigInt(c));
       ++var;
     }
-    sys.AddConstraint(expr, RelOp::kEq, BigInt(0));
+    sys.AddConstraint(expr, op, BigInt(rhs));
   };
-  add_row({1, -11, -5, 18, 2, 0});
-  add_row({1, -3, -1, 2, 0, 2});
-  add_row({8, -43, -3, -44, -2, -2});
+  add_row({1, -11, -5, 18, 2, 0}, RelOp::kLe, 0);
+  add_row({1, -3, -1, 2, 0, 2}, RelOp::kLe, 0);
+  add_row({10, -57, -9, -24, 0, 0}, RelOp::kEq, 1);
   return sys;
 }
 
@@ -60,6 +71,9 @@ TEST(AntiCyclingTest, PureDantzigCyclesOnTheFixture) {
   EXPECT_TRUE(lp.aborted);
   EXPECT_EQ(lp.pivots, 1000u);
   EXPECT_EQ(lp.kernel.bland_fallbacks, 0u);
+  // The crash left the fixture alone: every capped pivot was Dantzig's.
+  EXPECT_EQ(lp.kernel.drive_out_pivots, 0u);
+  EXPECT_EQ(lp.kernel.dantzig_pivots, 1000u);
 }
 
 TEST(AntiCyclingTest, DegeneracyFallbackTerminatesTheFixture) {
@@ -71,6 +85,7 @@ TEST(AntiCyclingTest, DegeneracyFallbackTerminatesTheFixture) {
   // fallback's Bland pivots finished the solve.
   EXPECT_GE(lp.kernel.bland_fallbacks, 1u);
   EXPECT_GE(lp.kernel.bland_pivots, 1u);
+  EXPECT_EQ(lp.kernel.drive_out_pivots, 0u);
   EXPECT_EQ(lp.pivots, lp.kernel.dantzig_pivots + lp.kernel.bland_pivots);
 }
 
@@ -83,6 +98,7 @@ TEST(AntiCyclingTest, BlandOnlyConfigTerminatesTheFixture) {
   ASSERT_FALSE(lp.aborted);
   EXPECT_TRUE(lp.feasible);
   EXPECT_EQ(lp.kernel.dantzig_pivots, 0u);
+  EXPECT_EQ(lp.kernel.drive_out_pivots, 0u);
   EXPECT_EQ(lp.pivots, lp.kernel.bland_pivots);
 }
 
@@ -168,8 +184,9 @@ TEST(SimplexDifferentialTest, SparseKernelMatchesDenseBlandOnRandomSystems) {
       ++infeasible;
     }
     // The split instrumentation must always reconcile with the total.
-    ASSERT_EQ(sparse.pivots,
-              sparse.kernel.dantzig_pivots + sparse.kernel.bland_pivots)
+    ASSERT_EQ(sparse.pivots, sparse.kernel.dantzig_pivots +
+                                 sparse.kernel.bland_pivots +
+                                 sparse.kernel.drive_out_pivots)
         << "trial " << trial;
   }
   // Both verdicts must actually be exercised, or the generator is broken.
@@ -245,6 +262,175 @@ TEST(SimplexDifferentialTest, WarmDualReSolveMatchesColdOnAppendedRows) {
   for (size_t count : appended_by_op) EXPECT_GT(count, 0u);
   EXPECT_GT(warm_feasible, 0u);
   EXPECT_GT(warm_infeasible, 0u);
+}
+
+/// A random system of Ψ(D,Σ)'s shape: mostly homogeneous count equalities
+/// of two or three terms, some homogeneous bounds, the odd negated-key row
+/// (≤ −1), and one pin row with a positive rhs, like ext(r) = 1.
+LinearSystem RandomPsiShapedSystem(std::mt19937_64& rng) {
+  std::uniform_int_distribution<int> nvars(3, 8);
+  std::uniform_int_distribution<int> nrows(3, 8);
+  std::uniform_int_distribution<int> nterms(2, 3);
+  std::uniform_int_distribution<int> percent(0, 99);
+  std::uniform_int_distribution<int> magnitude(1, 2);
+  std::uniform_int_distribution<int> pin_rhs(1, 2);
+  const int nv = nvars(rng);
+  const int nr = nrows(rng);
+  std::uniform_int_distribution<int> var(0, nv - 1);
+  std::uniform_int_distribution<int> pin_at(0, nr - 1);
+  const int pin = pin_at(rng);
+  LinearSystem sys;
+  for (int v = 0; v < nv; ++v) sys.AddVariable("x" + std::to_string(v));
+  for (int r = 0; r < nr; ++r) {
+    LinearExpr expr;
+    const int terms = r == pin ? 1 : nterms(rng);
+    for (int t = 0; t < terms; ++t) {
+      const int sign = t == 0 || percent(rng) < 30 ? 1 : -1;
+      expr.Add(var(rng), BigInt(sign * magnitude(rng)));
+    }
+    const int kind = percent(rng);
+    if (r == pin) {
+      sys.AddConstraint(expr, RelOp::kEq, BigInt(pin_rhs(rng)));
+    } else if (kind < 70) {
+      sys.AddConstraint(expr, RelOp::kEq, BigInt(0));
+    } else if (kind < 95) {
+      sys.AddConstraint(expr, kind < 85 ? RelOp::kLe : RelOp::kGe,
+                        BigInt(0));
+    } else {
+      sys.AddConstraint(expr, RelOp::kLe, BigInt(-1));
+    }
+  }
+  return sys;
+}
+
+TEST(SimplexDifferentialTest, CrashedKernelMatchesDenseBlandOnPsiShapes) {
+  // The crash pivots most of these rows before pricing sees them. Verdicts
+  // must match the dense-Bland reference, feasible vertices must satisfy
+  // the system exactly, the exported (crashed) basis must audit clean, and
+  // a warm re-solve of appended rows from it must reach the cold verdict.
+  std::mt19937_64 rng(0x9517);
+  std::uniform_int_distribution<int> nappend(1, 3);
+  std::uniform_int_distribution<int> percent(0, 99);
+  size_t feasible = 0, infeasible = 0, warm_compared = 0;
+  size_t drive_out_pivots = 0;
+  constexpr int kTrials = 4000;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    LinearSystem sys = RandomPsiShapedSystem(rng);
+    LpTableau tab;
+    const LpResult sparse = SolveLpFeasibility(sys, &tab);
+    const LpResult dense = SolveLpFeasibilityDenseBland(sys);
+    ASSERT_FALSE(sparse.aborted) << "trial " << trial;
+    ASSERT_FALSE(dense.aborted) << "trial " << trial;
+    ASSERT_EQ(sparse.feasible, dense.feasible)
+        << "verdict divergence at trial " << trial << ":\n"
+        << sys.ToString();
+    ASSERT_EQ(sparse.pivots, sparse.kernel.dantzig_pivots +
+                                 sparse.kernel.bland_pivots +
+                                 sparse.kernel.drive_out_pivots)
+        << "trial " << trial;
+    drive_out_pivots += sparse.kernel.drive_out_pivots;
+    if (!sparse.feasible) {
+      ++infeasible;
+      continue;
+    }
+    ++feasible;
+    ASSERT_TRUE(SatisfiesSystem(sys, sparse.values))
+        << "crashed vertex violates the system at trial " << trial << ":\n"
+        << sys.ToString();
+    const std::vector<std::string> exported = AuditTableau(sys, tab);
+    ASSERT_TRUE(exported.empty())
+        << "trial " << trial << ": " << exported.front();
+
+    // C_Σ-like appended rows: two-term homogeneous rows of every RelOp, and
+    // now and then a negated-key or pin-like rhs.
+    const int na = nappend(rng);
+    const size_t nv = sys.NumVariables();
+    std::uniform_int_distribution<size_t> var(0, nv - 1);
+    for (int r = 0; r < na; ++r) {
+      LinearExpr expr;
+      expr.Add(var(rng), BigInt(1)).Add(var(rng), BigInt(-1));
+      const int kind = percent(rng);
+      const RelOp op = kind < 40 ? RelOp::kLe
+                                 : (kind < 70 ? RelOp::kGe : RelOp::kEq);
+      const int rhs = percent(rng) < 80 ? 0 : (kind % 2 == 0 ? 1 : -1);
+      sys.AddConstraint(expr, op, BigInt(rhs));
+    }
+    const LpResult cold = SolveLpFeasibility(sys);
+    const WarmResult warm = ReSolveLpFeasibilityDual(sys, &tab);
+    ASSERT_NE(warm.status, WarmStatus::kPivotLimit) << "trial " << trial;
+    ASSERT_NE(warm.status, WarmStatus::kAborted) << "trial " << trial;
+    if (warm.status != WarmStatus::kOk) continue;  // Redundant row: cold.
+    ++warm_compared;
+    ASSERT_EQ(warm.lp.feasible, cold.feasible)
+        << "warm/cold divergence at trial " << trial << ":\n"
+        << sys.ToString();
+    if (!warm.lp.feasible) continue;
+    ASSERT_TRUE(SatisfiesSystem(sys, warm.lp.values))
+        << "warm vertex violates the system at trial " << trial << ":\n"
+        << sys.ToString();
+    const std::vector<std::string> violations = AuditTableau(sys, tab);
+    ASSERT_TRUE(violations.empty())
+        << "trial " << trial << ": " << violations.front();
+  }
+  EXPECT_GT(feasible, 0u);
+  EXPECT_GT(infeasible, 0u);
+  EXPECT_GT(warm_compared, 0u);
+  EXPECT_GT(drive_out_pivots, 0u);
+}
+
+// ------------------------------------------------------------- Crash.
+
+TEST(CrashTest, AllHomogeneousSystemNeedsNoPricingPivots) {
+  // Every rhs is 0 and no row is redundant: row i (i < 5) is
+  // x_i − x_{i+1} − x_{i+2} = 0, triangular in x_i, and three bounds
+  // x_i − x_7 ≥ 0 each own a surplus column. The crash retires all eight
+  // artificials, which leaves phase 1 optimal at once: no row is priced.
+  LinearSystem sys;
+  for (int v = 0; v < 8; ++v) sys.AddVariable("x" + std::to_string(v));
+  for (int i = 0; i < 5; ++i) {
+    LinearExpr expr;
+    expr.Add(i, BigInt(1)).Add(i + 1, BigInt(-1)).Add(i + 2, BigInt(-1));
+    sys.AddConstraint(expr, RelOp::kEq, BigInt(0));
+  }
+  for (int i : {0, 3, 5}) {
+    LinearExpr expr;
+    expr.Add(i, BigInt(1)).Add(7, BigInt(-1));
+    sys.AddConstraint(expr, RelOp::kGe, BigInt(0));
+  }
+  LpTableau tab;
+  const LpResult lp = SolveLpFeasibility(sys, &tab);
+  ASSERT_FALSE(lp.aborted);
+  ASSERT_TRUE(lp.feasible);
+  EXPECT_EQ(lp.kernel.dantzig_pivots, 0u);
+  EXPECT_EQ(lp.kernel.bland_pivots, 0u);
+  EXPECT_EQ(lp.kernel.drive_out_pivots, 8u);
+  EXPECT_EQ(lp.pivots, 8u);
+  EXPECT_TRUE(SatisfiesSystem(sys, lp.values));
+  for (int b : tab.basis) EXPECT_GE(b, 0);  // Artificial-free export.
+  EXPECT_TRUE(AuditTableau(sys, tab).empty());
+}
+
+TEST(CrashTest, LipRootLpFillInStaysFarBelowThePricingOnlyKernel) {
+  // Fill guard on the root LP of a fixed 10×10 LIP encoding — the shape
+  // perfbench's lip_hard checks: 448 rows, 337 of them homogeneous
+  // equalities. Without the crash, pricing alone left 452,754 fill-in
+  // cells (497 pivots); the crash and the sparse ratio tie-break leave
+  // about 83k.
+  workloads::LipEncoding lip = workloads::EncodeLipAsConsistency(
+      workloads::RandomLip(/*seed=*/1, /*rows=*/10, /*cols=*/10,
+                           /*ones_per_row=*/3));
+  Result<CardinalityEncoding> encoding =
+      BuildCardinalityEncoding(lip.dtd, lip.sigma.Normalize());
+  ASSERT_TRUE(encoding.ok()) << encoding.status();
+  LpTableau tab;
+  const LpResult lp = SolveLpFeasibility(encoding->system, &tab);
+  ASSERT_FALSE(lp.aborted);
+  ASSERT_TRUE(lp.feasible);
+  EXPECT_GE(lp.kernel.drive_out_pivots, 300u);
+  EXPECT_LT(lp.kernel.dantzig_pivots + lp.kernel.bland_pivots, 60u);
+  EXPECT_LT(lp.kernel.fill_in, 150'000u);
+  EXPECT_TRUE(SatisfiesSystem(encoding->system, lp.values));
+  EXPECT_TRUE(AuditTableau(encoding->system, tab).empty());
 }
 
 // ------------------------------------------------------ Instrumentation.
